@@ -1,6 +1,6 @@
-//! Decision-core fast path: the naive top-down region scan against the
-//! incremental (hint-resuming) hot managers, per decision and per
-//! closed-loop action.
+//! Decision core: the paper's top-down table scans ([`ReferenceManager`])
+//! against the production `LookupManager` / `RelaxedManager`, whose probes
+//! resume from the previous decision, per decision.
 //!
 //! Complements `benches/qm_latency.rs` (which compares the three *paper*
 //! managers): here both sides answer from the same compiled tables and
@@ -8,18 +8,15 @@
 //! strategy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqm_bench::{AudioExperiment, PaperExperiment, Workload};
+use sqm_bench::ReferenceManager;
 use sqm_core::compiler::{compile_regions, compile_relaxation};
-use sqm_core::engine::{CycleChaining, NullSink};
-use sqm_core::manager::{
-    HotLookupManager, HotRelaxedManager, LookupManager, QualityManager, RelaxedManager,
-};
+use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager};
 use sqm_core::relaxation::StepSet;
 use sqm_core::time::Time;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 use std::hint::black_box;
 
-/// A mid-band decision time at `state`: naive and hot both do real probing.
+/// A mid-band decision time at `state`: both sides do real probing.
 fn mid_t(regions: &sqm_core::regions::QualityRegionTable, state: usize) -> Time {
     Time::from_ns((regions.t_d(state, sqm_core::quality::Quality::MIN).as_ns() as f64 * 0.5) as i64)
 }
@@ -33,69 +30,39 @@ fn bench_decide(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_decide");
     for state in [0usize, 594, 1_100] {
         let t = mid_t(&regions, state);
-        group.bench_with_input(BenchmarkId::new("regions_naive", state), &state, |b, &s| {
+        group.bench_with_input(
+            BenchmarkId::new("regions_reference", state),
+            &state,
+            |b, &s| {
+                let mut m = ReferenceManager {
+                    regions: &regions,
+                    relaxation: None,
+                };
+                b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("regions", state), &state, |b, &s| {
             let mut m = LookupManager::new(&regions);
             b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
         });
-        group.bench_with_input(BenchmarkId::new("regions_hot", state), &state, |b, &s| {
-            let mut m = HotLookupManager::new(&regions);
+        group.bench_with_input(
+            BenchmarkId::new("relaxation_reference", state),
+            &state,
+            |b, &s| {
+                let mut m = ReferenceManager {
+                    regions: &regions,
+                    relaxation: Some(&relaxation),
+                };
+                b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("relaxation", state), &state, |b, &s| {
+            let mut m = RelaxedManager::new(&regions, &relaxation);
             b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
         });
-        group.bench_with_input(
-            BenchmarkId::new("relaxation_naive", state),
-            &state,
-            |b, &s| {
-                let mut m = RelaxedManager::new(&regions, &relaxation);
-                b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("relaxation_hot", state),
-            &state,
-            |b, &s| {
-                let mut m = HotRelaxedManager::new(&regions, &relaxation);
-                b.iter(|| black_box(m.decide(black_box(s), black_box(t))));
-            },
-        );
     }
     group.finish();
 }
 
-fn bench_closed_loop(c: &mut Criterion) {
-    let mpeg = PaperExperiment::with_config_and_rho(
-        EncoderConfig::small(7),
-        StepSet::new(vec![1, 2, 4, 8]).unwrap(),
-    );
-    let audio = AudioExperiment::tiny(7);
-    let mut group = c.benchmark_group("hotpath_closed_loop");
-    group.bench_function("mpeg_naive", |b| {
-        b.iter(|| {
-            black_box(mpeg.run_closed(4, CycleChaining::WorkConserving, 0.1, 11, &mut NullSink))
-        });
-    });
-    group.bench_function("mpeg_hot", |b| {
-        b.iter(|| {
-            black_box(mpeg.run_closed_hot(4, CycleChaining::WorkConserving, 0.1, 11, &mut NullSink))
-        });
-    });
-    group.bench_function("audio_naive", |b| {
-        b.iter(|| {
-            black_box(audio.run_closed(4, CycleChaining::WorkConserving, 0.1, 11, &mut NullSink))
-        });
-    });
-    group.bench_function("audio_hot", |b| {
-        b.iter(|| {
-            black_box(audio.run_closed_hot(
-                4,
-                CycleChaining::WorkConserving,
-                0.1,
-                11,
-                &mut NullSink,
-            ))
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_decide, bench_closed_loop);
+criterion_group!(benches, bench_decide);
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use sqm_bench::report;
 use sqm_bench::workload::{AudioExperiment, Workload};
 use sqm_core::approx::ApproxRegionTable;
 use sqm_core::arena::RowStore;
-use sqm_core::artifact::{delta_encode, Artifact};
+use sqm_core::artifact::Artifact;
 use sqm_core::compiler::{compile_regions, compile_relaxation, TableStats};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
@@ -61,20 +61,11 @@ fn artifact_row(
     }
     let dedup_bytes = (dir_cells + pool_cells) * 8;
 
-    // Delta+varint archival form (not cast-loadable; for cold storage).
-    let mut delta_bytes = delta_encode(regions.arena().cells()).len();
-    if let Some(rx) = relax {
-        if !rx.arena().ptr_eq(regions.arena()) {
-            delta_bytes += delta_encode(rx.arena().cells()).len();
-        }
-    }
-
     vec![
         label.to_string(),
         format!("{:.1}", arena_bytes as f64 / 1024.0),
         format!("{:.1}", artifact_bytes as f64 / 1024.0),
         format!("{:.1}", dedup_bytes as f64 / 1024.0),
-        format!("{:.1}", delta_bytes as f64 / 1024.0),
     ]
 }
 
@@ -124,8 +115,7 @@ fn main() {
     );
 
     // Artifact-layer representations, per workload: the live arena, the
-    // binary artifact (header + arena), content-addressed row dedup, and
-    // the delta+varint archival form.
+    // binary artifact (header + arena) and content-addressed row dedup.
     println!("\nartifact layer (KiB; dedup = per-workload row pools + directories):");
     let audio = AudioExperiment::tiny(5);
     let net = NetExperiment::tiny(5);
@@ -135,7 +125,6 @@ fn main() {
             "arena".to_string(),
             "artifact".to_string(),
             "deduped".to_string(),
-            "delta".to_string(),
         ],
         artifact_row("mpeg (paper)", &regions, Some(&relax)),
         artifact_row("audio (tiny)", audio.regions(), None),

@@ -3,13 +3,15 @@
 //! Hand-written proptests cover each execution path against a reference,
 //! one pairing at a time; this module covers the *product space* —
 //! arbitrary systems × fault/drift scenarios × every execution path
-//! (serial naive, hot, streaming, fleet, elastic) — against one
+//! (serial, reference scan, streaming, fleet, elastic) — against one
 //! five-part **safety oracle**:
 //!
-//! 1. **Identity** — the fast paths are byte-identical to the naive
-//!    serial reference: hot managers (traces included), Periodic+Block
-//!    streaming, every fleet worker count, every elastic worker count,
-//!    and the elastic per-stream fold, all under the injected fault.
+//! 1. **Identity** — every path is byte-identical to the serial run of
+//!    the production regions manager, and that run is byte-identical to
+//!    the [`ReferenceManager`] top-down scan (traces included):
+//!    Periodic+Block streaming, every fleet worker count, every elastic
+//!    worker count, and the elastic per-stream fold, all under the
+//!    injected fault.
 //! 2. **Safety** — with zero manager overhead, an unquantized clock and
 //!    a period equal to the final deadline, a run whose execution times
 //!    honour the compiled contract (`C ≤ Cwc`, checked live by a
@@ -36,8 +38,8 @@
 //! **inference axis**: the batch-coupled serving pipeline
 //! (`sqm_infer::BatchCoupledExec`, whose execution source carries
 //! *shared state* — the per-cycle batch account) through the identity
-//! and monotonicity oracle parts. Fast-path byte-identity there proves
-//! the continuous-batching state machine replays exactly, and the
+//! and monotonicity oracle parts. Byte-identity there proves the
+//! continuous-batching state machine replays exactly, and the
 //! coupling law is probed directly: admitting co-batched requests at a
 //! deeper rung must never shorten another request's decode.
 //!
@@ -80,7 +82,7 @@ use sqm_core::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
 use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, EngineDriver};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
 use sqm_core::fleet::{FleetRunner, FleetSummary, StreamSpec};
-use sqm_core::manager::{HotLookupManager, LookupManager, QualityManager, RelaxedManager};
+use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager};
 use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::StepSet;
@@ -94,6 +96,8 @@ use sqm_platform::clock::RtClock;
 use sqm_platform::exec::{StochasticExec, ViolatingExec};
 use sqm_platform::faults::{ClockRounding, ClockedManager, DriftExec, PreemptionExec};
 use sqm_platform::load::{ConstantLoad, RandomWalkLoad};
+
+use crate::harness::ReferenceManager;
 
 /// Manager overhead charged on the identity paths (the same calibration
 /// the conformance suite uses); the safety oracle runs at
@@ -647,36 +651,44 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
     let mut paths = 0usize;
 
     // ── Oracle 1: identity ──────────────────────────────────────────
-    // Serial naive reference, trace recorded.
-    let mut naive_trace = Trace::default();
-    let naive = drive(
+    // Serial run of the production manager, trace recorded.
+    let mut serial_trace = Trace::default();
+    let serial = drive(
         &sys,
         LookupManager::new(&regions),
         scenario,
         period,
-        &mut naive_trace,
+        &mut serial_trace,
     );
     paths += 1;
 
-    // Hot manager: byte-identical summary AND records.
-    let mut hot_trace = Trace::default();
-    let hot = drive(
+    // Reference scan: byte-identical summary AND records.
+    let mut reference_trace = Trace::default();
+    let reference = drive(
         &sys,
-        HotLookupManager::new(&regions),
+        ReferenceManager {
+            regions: &regions,
+            relaxation: None,
+        },
         scenario,
         period,
-        &mut hot_trace,
+        &mut reference_trace,
     );
     paths += 1;
-    oracle_eq!("identity", hot, naive, "hot summary != naive");
+    oracle_eq!("identity", serial, reference, "serial != reference scan");
     oracle_eq!(
         "identity",
-        hot_trace.cycles.len(),
-        naive_trace.cycles.len(),
-        "hot cycle count"
+        serial_trace.cycles.len(),
+        reference_trace.cycles.len(),
+        "reference scan cycle count"
     );
-    for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-        oracle_eq!("identity", b.records, a.records, "hot records != naive");
+    for (a, b) in reference_trace.cycles.iter().zip(&serial_trace.cycles) {
+        oracle_eq!(
+            "identity",
+            b.records,
+            a.records,
+            "serial records != reference scan"
+        );
     }
 
     // Periodic + Block streaming reproduces the serial run.
@@ -696,7 +708,7 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
         );
         paths += 1;
         if scenario.clock_quantum_ns == 0 {
-            oracle_eq!("identity", streamed.run, naive, "streaming != serial");
+            oracle_eq!("identity", streamed.run, serial, "streaming != serial");
         }
         oracle_eq!(
             "accounting",
@@ -1276,7 +1288,7 @@ fn check_control(
 /// table-driven sources above, [`sqm_infer::BatchCoupledExec`] carries
 /// shared mutable state (the per-cycle batch account), so byte-identity
 /// here proves the continuous-batching state machine replays exactly on
-/// the fast paths — and the coupling law is probed directly through the
+/// every path — and the coupling law is probed directly through the
 /// public [`ExecutionTimeSource`] surface.
 fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     use sqm_infer::{InferConfig, InferPipeline};
@@ -1290,34 +1302,43 @@ fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     let period = infer.config().batch_period();
     let cycles = scenario.cycles;
 
-    // Identity: naive vs hot vs Periodic+Block streaming, each over a
-    // fresh batch-coupled source with the same seed. The batch account
-    // resets at action 0 of every cycle, so an exact replay is the
+    // Identity: serial vs reference scan vs Periodic+Block streaming, each
+    // over a fresh batch-coupled source with the same seed. The batch
+    // account resets at action 0 of every cycle, so an exact replay is the
     // contract — any divergence means the shared state leaked across a
     // path boundary.
-    let mut naive_trace = Trace::default();
-    let naive = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
+    let mut serial_trace = Trace::default();
+    let serial = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
         cycles,
         period,
         scenario.chaining,
         &mut infer.exec(jitter, seed),
-        &mut naive_trace,
+        &mut serial_trace,
     );
-    let mut hot_trace = Trace::default();
-    let hot = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
+    let reference_manager = ReferenceManager {
+        regions: &regions,
+        relaxation: None,
+    };
+    let mut reference_trace = Trace::default();
+    let reference = Engine::new(sys, reference_manager, OVERHEAD).run_cycles(
         cycles,
         period,
         scenario.chaining,
         &mut infer.exec(jitter, seed),
-        &mut hot_trace,
+        &mut reference_trace,
     );
-    oracle_eq!("identity", hot, naive, "infer: hot summary != naive");
-    for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
+    oracle_eq!(
+        "identity",
+        serial,
+        reference,
+        "infer: serial != reference scan"
+    );
+    for (a, b) in reference_trace.cycles.iter().zip(&serial_trace.cycles) {
         oracle_eq!(
             "identity",
             b.records,
             a.records,
-            "infer: hot records != naive"
+            "infer: serial records != reference scan"
         );
     }
     let mut engine = Engine::new(sys, LookupManager::new(&regions), OVERHEAD);
@@ -1335,7 +1356,7 @@ fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     oracle_eq!(
         "identity",
         streamed.run,
-        naive,
+        serial,
         "infer: streaming != serial"
     );
 

@@ -1,21 +1,57 @@
 //! Shared experiment plumbing: build the paper's encoder, compile the
 //! symbolic tables, run the three Quality Manager implementations under
-//! their calibrated overhead models, and collect traces.
+//! their calibrated overhead models, and collect traces — plus the
+//! [`ReferenceManager`] oracle the identity checks compare the production
+//! managers against.
 
 use sqm_core::compiler::{compile_regions, compile_relaxation};
 use sqm_core::controller::OverheadModel;
 use sqm_core::engine::{CycleChaining, Engine, NullSink, RunSummary, TraceSink};
-use sqm_core::manager::{
-    HotLookupManager, HotRelaxedManager, LookupManager, NumericManager, RelaxedManager,
-};
+use sqm_core::manager::{Decision, LookupManager, NumericManager, QualityManager, RelaxedManager};
 use sqm_core::policy::MixedPolicy;
+use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
 use sqm_core::source::ArrivalSource;
 use sqm_core::stream::{StreamConfig, StreamSummary, StreamingRunner};
+use sqm_core::time::Time;
 use sqm_core::trace::Trace;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 use sqm_platform::overhead;
+
+/// The paper's symbolic manager written straight from Propositions 2 and 3
+/// over the tables' top-down scans ([`QualityRegionTable::choose`],
+/// [`RelaxationTable::choose_relaxation`]) — the independent oracle the
+/// production [`LookupManager`] (no relaxation table) and
+/// [`RelaxedManager`] must match decision for decision.
+#[derive(Clone, Copy, Debug)]
+pub struct ReferenceManager<'a> {
+    /// The region table to scan.
+    pub regions: &'a QualityRegionTable,
+    /// The relaxation table to scan after the region choice, if any.
+    pub relaxation: Option<&'a RelaxationTable>,
+}
+
+impl QualityManager for ReferenceManager<'_> {
+    fn decide(&mut self, state: usize, t: Time) -> Decision {
+        let (choice, probes) = self.regions.choose(state, t);
+        let quality = choice.unwrap_or(Quality::MIN);
+        let (r, r_probes) = match (choice, self.relaxation) {
+            (Some(q), Some(rx)) => rx.choose_relaxation(state, t, q),
+            _ => (1, 0),
+        };
+        Decision {
+            quality,
+            hold: r.min(self.regions.n_states() - state).max(1),
+            work: probes + r_probes,
+            infeasible: choice.is_none(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "reference-scan"
+    }
+}
 
 /// Which Quality Manager implementation to run (§4.1's three generated
 /// managers).
@@ -121,46 +157,6 @@ impl PaperExperiment {
         burst: Option<(usize, usize, f64)>,
         sink: &mut S,
     ) -> RunSummary {
-        self.run_cycles_with(kind, false, frames, jitter, exec_seed, burst, sink)
-    }
-
-    /// The **fast-path** sibling of [`PaperExperiment::run_into`]: the
-    /// symbolic managers are swapped for their hot (incremental-search)
-    /// variants — [`ManagerKind::Regions`] runs [`HotLookupManager`],
-    /// [`ManagerKind::Relaxation`] runs [`HotRelaxedManager`], and
-    /// [`ManagerKind::Numeric`] is unchanged (it has no compiled table to
-    /// resume into). Byte-identical in the virtual time domain: same
-    /// decisions, same analytically-charged work, same records — only the
-    /// host-side search cost differs. `bench_hotpath` measures the two
-    /// against each other; `tests/conformance.rs` pins the identity.
-    pub fn run_into_fast<S: TraceSink>(
-        &self,
-        kind: ManagerKind,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-        sink: &mut S,
-    ) -> RunSummary {
-        self.run_cycles_with(kind, true, frames, jitter, exec_seed, burst, sink)
-    }
-
-    /// The one closed-loop body behind [`PaperExperiment::run_into`] and
-    /// [`PaperExperiment::run_into_fast`]: identical exec/overhead/shape
-    /// plumbing, dispatching on `(kind, fast)` only for the manager
-    /// constructor — so the naive and fast harness paths cannot drift
-    /// apart.
-    #[allow(clippy::too_many_arguments)] // private seam behind the two public entry points
-    fn run_cycles_with<S: TraceSink>(
-        &self,
-        kind: ManagerKind,
-        fast: bool,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-        sink: &mut S,
-    ) -> RunSummary {
         let sys = self.encoder.system();
         let period = self.encoder.config().frame_period;
         let mut exec = self.encoder.exec(jitter, exec_seed);
@@ -173,42 +169,21 @@ impl PaperExperiment {
             period,
             chaining: self.chaining,
         };
-        match (kind, fast) {
-            (ManagerKind::Numeric, _) => {
+        match kind {
+            ManagerKind::Numeric => {
                 let policy = MixedPolicy::new(sys);
                 let manager = NumericManager::new(sys, &policy);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Regions, false) => {
+            ManagerKind::Regions => {
                 let manager = LookupManager::new(&self.regions);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Regions, true) => {
-                let manager = HotLookupManager::new(&self.regions);
-                drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
-            }
-            (ManagerKind::Relaxation, false) => {
+            ManagerKind::Relaxation => {
                 let manager = RelaxedManager::new(&self.regions, &self.relaxation);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Relaxation, true) => {
-                let manager = HotRelaxedManager::new(&self.regions, &self.relaxation);
-                drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
-            }
         }
-    }
-
-    /// Fast-path run without recording anything — the hot counterpart of
-    /// [`PaperExperiment::run_summary`].
-    pub fn run_summary_fast(
-        &self,
-        kind: ManagerKind,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-    ) -> RunSummary {
-        self.run_into_fast(kind, frames, jitter, exec_seed, burst, &mut NullSink)
     }
 
     /// Feed the encoder from an event-driven [`ArrivalSource`] instead of
@@ -418,21 +393,6 @@ mod tests {
     // NOTE: the "periodic + Block streaming ≡ closed loop" identity (and
     // the chaining knob's liveness) that used to be tested here is pinned
     // for all manager kinds and workloads by `tests/conformance.rs`.
-
-    #[test]
-    fn fast_path_matches_naive_path_for_every_manager_kind() {
-        let exp = tiny();
-        for kind in ManagerKind::ALL {
-            let mut naive = Trace::default();
-            let mut fast = Trace::default();
-            let s_naive = exp.run_into(kind, 3, 0.1, 11, None, &mut naive);
-            let s_fast = exp.run_into_fast(kind, 3, 0.1, 11, None, &mut fast);
-            assert_eq!(s_naive, s_fast, "{kind:?}");
-            for (a, b) in naive.cycles.iter().zip(&fast.cycles) {
-                assert_eq!(a.records, b.records, "{kind:?}");
-            }
-        }
-    }
 
     #[test]
     fn relaxation_makes_fewer_calls() {

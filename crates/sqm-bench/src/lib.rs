@@ -11,7 +11,8 @@
 //!
 //! * [`harness`] — the single-stream paper experiment: encoder + compiled
 //!   tables + the three §4.1 managers, all routed through the shared
-//!   `sqm_core::engine`.
+//!   `sqm_core::engine`; and [`ReferenceManager`], the top-down-scan
+//!   oracle the production symbolic managers are checked against.
 //! * [`fleet`] — the multi-stream workload: many independent MPEG/audio
 //!   streams sharded over `sqm_core::fleet` workers against one set of
 //!   compiled tables (`cargo run -p sqm-bench --release --bin
@@ -76,7 +77,9 @@ pub use fuzz::{
     format_repro, minimize, run_campaign, run_case, CampaignReport, FaultKind, FuzzCase, Scenario,
     SourceKind, SystemSpec, Violation,
 };
-pub use harness::{run_paper_experiment, ExperimentResult, ManagerKind, PaperExperiment};
+pub use harness::{
+    run_paper_experiment, ExperimentResult, ManagerKind, PaperExperiment, ReferenceManager,
+};
 pub use infer::{InferDriver, InferExperiment};
 pub use net::NetExperiment;
 pub use streaming::{StreamScenario, StreamingExperiment};

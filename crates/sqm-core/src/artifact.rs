@@ -5,16 +5,14 @@
 //! not: its payload **is** the [`TableArena`] cell run, byte for byte, so
 //! loading is *validate + align-check + cast* — one header scan, one
 //! checksum pass, one bulk little-endian conversion into a single shared
-//! allocation, and zero per-row work. The same bytes serve three tiers:
+//! allocation, and zero per-row work beyond the row-order check the
+//! decision probe relies on. The same bytes serve two tiers:
 //!
 //! * [`Artifact::load`] — owned tables sharing one arena (the cold-start
 //!   path for engines and fleets);
 //! * [`ArtifactView`] — a borrowed, **zero-allocation** reader that can
 //!   answer region queries straight from the byte buffer (artifact bytes →
-//!   first decision with no table materialization at all);
-//! * [`delta_encode`] / [`delta_decode`] — an optional archival form
-//!   (zigzag varints over row deltas; staircase rows compress well) that
-//!   is *not* cast-loadable and exists purely to shrink storage.
+//!   first decision with no table materialization at all).
 //!
 //! ## Wire format (version 1, all integers little-endian)
 //!
@@ -46,7 +44,7 @@
 
 use crate::arena::{DedupStats, RowStore, TableArena, FNV_OFFSET, FNV_PRIME};
 use crate::quality::{Quality, QualitySet};
-use crate::regions::QualityRegionTable;
+use crate::regions::{hinted_walk, QualityRegionTable};
 use crate::relaxation::{PooledRelaxation, RelaxationTable, StepSet};
 use crate::time::Time;
 
@@ -136,9 +134,13 @@ pub enum ArtifactError {
     /// `encode_fleet` configs disagree on quality set, step menu, or
     /// relaxation presence.
     MixedFleet(String),
-    /// A delta-encoded archive ended mid-varint or decoded to the wrong
-    /// cell count.
-    BadVarint,
+    /// A config's region rows are not non-increasing in `q`, or its
+    /// relaxation intervals are not nested over `ρ` — the structure the
+    /// managers' hinted probe relies on.
+    Unordered {
+        /// Config whose tables break the order.
+        config: usize,
+    },
 }
 
 impl std::fmt::Display for ArtifactError {
@@ -177,7 +179,11 @@ impl std::fmt::Display for ArtifactError {
             ),
             ArtifactError::EmptyFleet => write!(f, "fleet artifact needs at least one config"),
             ArtifactError::MixedFleet(msg) => write!(f, "fleet configs disagree: {msg}"),
-            ArtifactError::BadVarint => write!(f, "corrupt delta-encoded archive"),
+            ArtifactError::Unordered { config } => write!(
+                f,
+                "config {config}: region rows not non-increasing in quality or relaxation \
+                 intervals not nested over rho"
+            ),
         }
     }
 }
@@ -439,13 +445,15 @@ impl Artifact {
                 let lay = single_layout(&header, &|i| arena.cells()[i].as_ns())?;
                 let qualities = QualitySet::new(lay.nq)
                     .ok_or_else(|| ArtifactError::BadDims("quality set".into()))?;
+                // The layout check above sized both blocks to the payload,
+                // so a view constructor can only refuse the row order.
                 let regions = QualityRegionTable::dense_view(
                     arena.clone(),
                     lay.regions_off,
                     lay.n_states,
                     qualities,
                 )
-                .ok_or_else(|| ArtifactError::BadDims("region block".into()))?;
+                .ok_or(ArtifactError::Unordered { config: 0 })?;
                 let relaxation = if lay.nr > 0 {
                     let rho = read_rho(&|i| arena.cells()[i].as_ns(), lay.rho_off, lay.nr)?;
                     Some(
@@ -457,7 +465,7 @@ impl Artifact {
                             qualities,
                             rho,
                         )
-                        .ok_or_else(|| ArtifactError::BadDims("relaxation block".into()))?,
+                        .ok_or(ArtifactError::Unordered { config: 0 })?,
                     )
                 } else {
                     None
@@ -482,6 +490,8 @@ impl Artifact {
                 let mut states_before = 0usize;
                 for c in 0..header.n_configs {
                     let n = lay.config_states(&|i| arena.cells()[i].as_ns(), c);
+                    // `fleet_layout` validated every directory cell, so a
+                    // view constructor can only refuse the row order.
                     let regions = QualityRegionTable::pooled_view(
                         arena.clone(),
                         lay.reg_dirs_off + states_before,
@@ -490,10 +500,7 @@ impl Artifact {
                         n,
                         qualities,
                     )
-                    .ok_or(ArtifactError::DirectoryOutOfBounds {
-                        config: c,
-                        state: 0,
-                    })?;
+                    .ok_or(ArtifactError::Unordered { config: c })?;
                     let relaxation = match &rho {
                         Some(rho) => Some(
                             RelaxationTable::pooled_view(
@@ -510,12 +517,7 @@ impl Artifact {
                                 qualities,
                                 rho.clone(),
                             )
-                            .ok_or(
-                                ArtifactError::DirectoryOutOfBounds {
-                                    config: c,
-                                    state: 0,
-                                },
-                            )?,
+                            .ok_or(ArtifactError::Unordered { config: c })?,
                         ),
                         None => None,
                     };
@@ -861,9 +863,11 @@ enum ViewLayout {
 /// after validation — the shortest possible path from artifact bytes to a
 /// first decision.
 ///
-/// Construction performs the same full validation as [`Artifact::load`]
-/// (header, checksum, alignment, layout, directory bounds), so every
-/// query afterwards is infallible on in-range coordinates.
+/// Construction performs the same header, checksum, alignment, layout and
+/// directory-bound validation as [`Artifact::load`], so every query
+/// afterwards is infallible on in-range coordinates. It does not check the
+/// row order: [`ArtifactView::choose`] starts its walk at `qmax`, which is
+/// the top-down scan on any row.
 pub struct ArtifactView<'a> {
     header: Header<'a>,
     layout: ViewLayout,
@@ -935,9 +939,9 @@ impl<'a> ArtifactView<'a> {
         }
     }
 
-    /// The symbolic quality choice for `(config, state, t)`, computed by
-    /// the same top-down probe as
-    /// [`QualityRegionTable::choose`] but reading boundary cells directly
+    /// The symbolic quality choice for `(config, state, t)`: the tables'
+    /// hinted walk started at `qmax` — the same answer as
+    /// [`QualityRegionTable::choose`] — reading boundary cells directly
     /// from the borrowed bytes.
     ///
     /// # Panics
@@ -946,72 +950,11 @@ impl<'a> ArtifactView<'a> {
     /// table accessors).
     pub fn choose(&self, config: usize, state: usize, t: Time) -> Option<Quality> {
         let (off, nq) = self.region_row(config, state);
-        for qi in (0..nq).rev() {
-            if Time::from_ns(self.header.cell(off + qi)) >= t {
-                return Some(Quality::new(qi as u8));
-            }
-        }
-        None
+        hinted_walk(nq, nq - 1, |qi| {
+            Time::from_ns(self.header.cell(off + qi)) >= t
+        })
+        .map(|qi| Quality::new(qi as u8))
     }
-}
-
-// ── archival delta encoding ─────────────────────────────────────────────
-
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Delta + zigzag-varint archival encoding of a cell run: each cell is
-/// stored as the difference from its predecessor (staircase rows make the
-/// deltas small), zigzag-mapped and LEB128-encoded. **Not** cast-loadable
-/// — decode with [`delta_decode`] before use; exists to shrink cold
-/// storage, not the load path.
-pub fn delta_encode(cells: &[Time]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(cells.len());
-    let mut prev = 0i64;
-    for &t in cells {
-        let mut z = zigzag(t.as_ns().wrapping_sub(prev));
-        while z >= 0x80 {
-            out.push((z as u8) | 0x80);
-            z >>= 7;
-        }
-        out.push(z as u8);
-        prev = t.as_ns();
-    }
-    out
-}
-
-/// Decode a [`delta_encode`] archive back into exactly `expect_cells`
-/// cells.
-pub fn delta_decode(bytes: &[u8], expect_cells: usize) -> Result<Vec<Time>, ArtifactError> {
-    let mut cells = Vec::with_capacity(expect_cells);
-    let mut prev = 0i64;
-    let mut iter = bytes.iter();
-    while cells.len() < expect_cells {
-        let mut z = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let &b = iter.next().ok_or(ArtifactError::BadVarint)?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(ArtifactError::BadVarint);
-            }
-            z |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        prev = prev.wrapping_add(unzigzag(z));
-        cells.push(Time::from_ns(prev));
-    }
-    if iter.next().is_some() {
-        return Err(ArtifactError::BadVarint);
-    }
-    Ok(cells)
 }
 
 #[cfg(test)]
@@ -1309,30 +1252,24 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_and_corruption() {
+    fn unordered_rows_behind_a_valid_checksum_are_rejected() {
         let (regions, relax) = tables(100);
-        let mut cells: Vec<Time> = Vec::new();
-        for s in 0..3 {
-            cells.extend_from_slice(regions.row(s));
-            cells.extend_from_slice(relax.lower_row(s));
-            cells.extend_from_slice(relax.upper_row(s));
-        }
-        // Sentinels must survive.
-        cells.push(Time::INF);
-        cells.push(Time::NEG_INF);
-        let archived = delta_encode(&cells);
-        assert_eq!(delta_decode(&archived, cells.len()).unwrap(), cells);
-        // Truncated archive.
+        let bytes = Artifact::encode(&regions, Some(&relax));
+        // Meta: n_states, nq, nr, 2 rho → state 0's region row at 5..8.
+        // Lowering tD(s0, qmin) below tD(s0, q1) breaks the row order.
+        let next = regions.t_d(0, Quality::new(1)).as_ns();
         assert_eq!(
-            delta_decode(&archived[..archived.len() - 1], cells.len()),
-            Err(ArtifactError::BadVarint)
+            Artifact::load(&corrupt_cell(&bytes, 5, next - 1)).unwrap_err(),
+            ArtifactError::Unordered { config: 0 }
         );
-        // Trailing garbage.
-        let mut padded = archived.clone();
-        padded.push(0);
+        // Same through a fleet, whose rows sit in the shared pool.
+        let (r2, x2) = tables(140);
+        let (fleet, _) = Artifact::encode_fleet(&[(&r2, Some(&x2))]).unwrap();
+        // Meta: nq, nr, 2 rho, 3 pool sizes, 1 count, 3·3 dirs → pool at 17.
+        let next = r2.t_d(0, Quality::new(1)).as_ns();
         assert_eq!(
-            delta_decode(&padded, cells.len()),
-            Err(ArtifactError::BadVarint)
+            Artifact::load(&corrupt_cell(&fleet, 17, next - 1)).unwrap_err(),
+            ArtifactError::Unordered { config: 0 }
         );
     }
 

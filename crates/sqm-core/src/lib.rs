@@ -28,11 +28,12 @@
 //! 5. **Quality Managers** — [`manager`]: the online controllers — numeric
 //!    (re-computes `tD` per call), lookup (table-driven), and relaxed
 //!    (skips control for `r` steps inside `Rrq`); [`smoothness`] scores
-//!    their fluctuation, and `SmoothedManager` rate-limits it. The
-//!    **hot-path** variants (`HotLookupManager` / `HotRelaxedManager`)
-//!    resume each probe from the previous decision — amortized O(1) host
-//!    work per decision, byte-identical in the virtual time domain
-//!    because `Decision::work` is charged analytically.
+//!    their fluctuation, and `SmoothedManager` rate-limits it. The lookup
+//!    and relaxed managers resume each table probe from the previous
+//!    decision — amortized O(1) host work per decision — and charge
+//!    `Decision::work` analytically, so the virtual time is exactly the
+//!    paper's top-down scan's (`QualityRegionTable::choose` stays as the
+//!    reference the tests compare against).
 //! 6. **Engine** — [`engine`]: the *monomorphized, allocation-free* hot
 //!    loop (decide → charge overhead → execute → check deadline), generic
 //!    over manager and execution-time source, streaming records into
@@ -151,8 +152,7 @@ pub mod prelude {
         CachePadded, FleetRunner, FleetSummary, StreamScratch, StreamSpec, STATIC_SHARD_MAX_STREAMS,
     };
     pub use crate::manager::{
-        Decision, HotLookupManager, HotRelaxedManager, LookupManager, NumericManager,
-        QualityManager, RelaxedManager, SmoothedManager,
+        Decision, LookupManager, NumericManager, QualityManager, RelaxedManager, SmoothedManager,
     };
     pub use crate::policy::{choose_quality, AveragePolicy, MixedPolicy, Policy, SafePolicy};
     pub use crate::quality::{Quality, QualitySet};

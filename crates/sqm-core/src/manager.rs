@@ -14,13 +14,13 @@
 //!   table ([`crate::relaxation::RelaxationTable`]) and asks the controller
 //!   to skip the next `r − 1` calls entirely.
 //!
-//! Two **hot-path** variants, [`HotLookupManager`] and
-//! [`HotRelaxedManager`], make the same choices as their symbolic
-//! counterparts but resume each probe from the previous decision instead
-//! of rescanning from `qmax` — amortized O(1) host work per decision.
-//! Their [`Decision::work`] stays the *analytic* top-down probe count
+//! The symbolic managers probe from the previous decision (a hint reset
+//! to the top in [`QualityManager::reset`]) instead of rescanning from
+//! `qmax` — amortized O(1) host work per decision. Their
+//! [`Decision::work`] is the *analytic* top-down probe count
 //! ([`QualityRegionTable::scan_work`]), so every virtual-time quantity is
-//! byte-identical to the plain managers'.
+//! exactly what the paper's top-down scan
+//! ([`QualityRegionTable::choose`]) charges.
 //!
 //! All managers are *equivalent in their choices* — they realize the same
 //! function `Γ` (property-tested in the workspace integration tests); they
@@ -51,10 +51,8 @@ pub struct Decision {
     /// managers this is defined **analytically** from the chosen quality
     /// (`|Q| − q` probes, see
     /// [`crate::regions::QualityRegionTable::scan_work`]), *not* from the
-    /// host work actually performed — which is how the incremental
-    /// fast-path managers stay byte-identical in the virtual time domain
-    /// while doing strictly less host work. The controller converts this
-    /// into time overhead.
+    /// host work the hinted probe actually performed. The controller
+    /// converts this into time overhead.
     pub work: u64,
     /// `true` when not even `qmin` satisfied the policy constraint — the
     /// state lies outside every quality region. Under correct worst-case
@@ -124,109 +122,37 @@ impl<P: Policy> QualityManager for NumericManager<'_, P> {
     }
 }
 
+/// The region half of both symbolic managers: the hinted walk from
+/// `*hint`, charged the analytic top-down probe count. Leaves the choice
+/// (or `qmin` when infeasible) in `*hint` for the next call.
+#[inline]
+pub(crate) fn region_decision(
+    table: &QualityRegionTable,
+    state: usize,
+    t: Time,
+    hint: &mut Quality,
+) -> Decision {
+    let choice = table.choose_from(state, t, *hint);
+    *hint = choice.unwrap_or(Quality::MIN);
+    Decision {
+        quality: *hint,
+        hold: 1,
+        work: table.scan_work(choice),
+        infeasible: choice.is_none(),
+    }
+}
+
 /// Symbolic Quality Manager over pre-computed quality regions: pure table
-/// lookups (Proposition 2).
-#[derive(Clone, Debug)]
-pub struct LookupManager<'a> {
-    table: &'a QualityRegionTable,
-}
-
-impl<'a> LookupManager<'a> {
-    /// A lookup manager over a compiled region table.
-    pub fn new(table: &'a QualityRegionTable) -> LookupManager<'a> {
-        LookupManager { table }
-    }
-}
-
-impl QualityManager for LookupManager<'_> {
-    fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.table.choose(state, t);
-        match choice {
-            Some(quality) => Decision {
-                quality,
-                hold: 1,
-                work: probes,
-                infeasible: false,
-            },
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "regions"
-    }
-}
-
-/// Symbolic Quality Manager with control relaxation: after the region
-/// lookup it probes the relaxation table for the largest admissible step
-/// `r ∈ ρ` and asks the controller to hold the chosen quality for `r`
-/// actions (Proposition 3).
-#[derive(Clone, Debug)]
-pub struct RelaxedManager<'a> {
-    regions: &'a QualityRegionTable,
-    relaxation: &'a RelaxationTable,
-}
-
-impl<'a> RelaxedManager<'a> {
-    /// A relaxed manager over compiled region + relaxation tables.
-    pub fn new(
-        regions: &'a QualityRegionTable,
-        relaxation: &'a RelaxationTable,
-    ) -> RelaxedManager<'a> {
-        debug_assert_eq!(regions.n_states(), relaxation.n_states());
-        RelaxedManager {
-            regions,
-            relaxation,
-        }
-    }
-}
-
-impl QualityManager for RelaxedManager<'_> {
-    fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.regions.choose(state, t);
-        match choice {
-            Some(quality) => {
-                let (r, r_probes) = self.relaxation.choose_relaxation(state, t, quality);
-                let remaining = self.regions.n_states() - state;
-                Decision {
-                    quality,
-                    hold: r.min(remaining).max(1),
-                    work: probes + r_probes,
-                    infeasible: false,
-                }
-            }
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "relaxation"
-    }
-}
-
-/// Amortized-O(1) symbolic Quality Manager: realizes the same `Γ` as
-/// [`LookupManager`] but resumes each probe from the previously chosen
-/// quality ([`QualityRegionTable::choose_from`]) instead of rescanning
-/// from `qmax`. The charged [`Decision::work`] is the analytic top-down
-/// probe count ([`QualityRegionTable::scan_work`]), so runs are
-/// byte-identical to [`LookupManager`]'s in the virtual time domain while
-/// the host-side search cost stops scaling with `|Q|`.
+/// lookups (Proposition 2). Each probe resumes from the previous decision
+/// ([`QualityRegionTable::choose_from`]); the charged work is the analytic
+/// top-down count, so the outcome equals the paper's scan
+/// ([`QualityRegionTable::choose`]) decision for decision.
 ///
 /// # Examples
 ///
 /// ```
 /// use sqm_core::compiler::compile_regions;
-/// use sqm_core::manager::{HotLookupManager, LookupManager, QualityManager};
+/// use sqm_core::manager::{LookupManager, QualityManager};
 /// use sqm_core::system::SystemBuilder;
 /// use sqm_core::time::Time;
 ///
@@ -237,83 +163,60 @@ impl QualityManager for RelaxedManager<'_> {
 ///     .build()
 ///     .unwrap();
 /// let regions = compile_regions(&sys);
-/// let mut naive = LookupManager::new(&regions);
-/// let mut hot = HotLookupManager::new(&regions);
+/// let mut manager = LookupManager::new(&regions);
 /// for (state, t) in [(0, 0), (1, 30)] {
-///     // Identical decisions *and* identical charged work.
-///     assert_eq!(hot.decide(state, Time::from_ns(t)), naive.decide(state, Time::from_ns(t)));
+///     let t = Time::from_ns(t);
+///     let d = manager.decide(state, t);
+///     // The reference scan's choice and its probe count.
+///     assert_eq!((Some(d.quality), d.work), regions.choose(state, t));
 /// }
 /// ```
 #[derive(Clone, Debug)]
-pub struct HotLookupManager<'a> {
+pub struct LookupManager<'a> {
     table: &'a QualityRegionTable,
     hint: Quality,
 }
 
-impl<'a> HotLookupManager<'a> {
-    /// A hot lookup manager over a compiled region table.
-    pub fn new(table: &'a QualityRegionTable) -> HotLookupManager<'a> {
-        // The hint walk is only exact on Proposition-2 monotone rows;
-        // policy-compiled tables always have them, hand-built `from_raw`
-        // tables might not.
-        debug_assert!(table.rows_monotone(), "choose_from needs monotone rows");
-        HotLookupManager {
+impl<'a> LookupManager<'a> {
+    /// A lookup manager over a compiled region table.
+    pub fn new(table: &'a QualityRegionTable) -> LookupManager<'a> {
+        LookupManager {
             table,
             hint: table.qualities().max(),
         }
     }
 }
 
-impl QualityManager for HotLookupManager<'_> {
+impl QualityManager for LookupManager<'_> {
+    #[inline]
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let choice = self.table.choose_from(state, t, self.hint);
-        let work = self.table.scan_work(choice);
-        match choice {
-            Some(quality) => {
-                self.hint = quality;
-                Decision {
-                    quality,
-                    hold: 1,
-                    work,
-                    infeasible: false,
-                }
-            }
-            None => {
-                self.hint = Quality::MIN;
-                Decision {
-                    quality: Quality::MIN,
-                    hold: 1,
-                    work,
-                    infeasible: true,
-                }
-            }
-        }
+        region_decision(self.table, state, t, &mut self.hint)
     }
 
     fn name(&self) -> &'static str {
-        "regions-hot"
+        "regions"
     }
 
     fn reset(&mut self) {
-        // A fresh cycle restarts the budget; resume from `qmax` like the
-        // naive scan's first probe.
+        // A fresh cycle restarts the budget: start from `qmax` like the
+        // top-down scan's first probe.
         self.hint = self.table.qualities().max();
     }
 }
 
-/// Amortized-O(1) relaxed manager: the fast-path sibling of
-/// [`RelaxedManager`]. Both the region probe and the relaxation-step probe
-/// resume from the previous decision
+/// Symbolic Quality Manager with control relaxation: after the region
+/// lookup it probes the relaxation table for the largest admissible step
+/// `r ∈ ρ` and asks the controller to hold the chosen quality for `r`
+/// actions (Proposition 3). Both probes resume from the previous decision
 /// ([`QualityRegionTable::choose_from`] /
-/// [`RelaxationTable::choose_relaxation_from`]); the charged work is the
-/// analytic scan count of each table, so holds, overheads and every
-/// summary byte match [`RelaxedManager`]'s.
+/// [`RelaxationTable::choose_relaxation_from`]) and charge the analytic
+/// top-down counts.
 ///
 /// # Examples
 ///
 /// ```
 /// use sqm_core::compiler::{compile_regions, compile_relaxation};
-/// use sqm_core::manager::{HotRelaxedManager, QualityManager, RelaxedManager};
+/// use sqm_core::manager::{QualityManager, RelaxedManager};
 /// use sqm_core::relaxation::StepSet;
 /// use sqm_core::system::SystemBuilder;
 /// use sqm_core::time::Time;
@@ -327,33 +230,27 @@ impl QualityManager for HotLookupManager<'_> {
 ///     .unwrap();
 /// let regions = compile_regions(&sys);
 /// let relax = compile_relaxation(&sys, &regions, StepSet::new(vec![1, 2]).unwrap());
-/// let mut naive = RelaxedManager::new(&regions, &relax);
-/// let mut hot = HotRelaxedManager::new(&regions, &relax);
-/// assert_eq!(hot.decide(0, Time::ZERO), naive.decide(0, Time::ZERO));
+/// let d = RelaxedManager::new(&regions, &relax).decide(0, Time::ZERO);
+/// let (q, probes) = regions.choose(0, Time::ZERO);
+/// let (r, r_probes) = relax.choose_relaxation(0, Time::ZERO, q.unwrap());
+/// assert_eq!((d.quality, d.hold, d.work), (q.unwrap(), r, probes + r_probes));
 /// ```
 #[derive(Clone, Debug)]
-pub struct HotRelaxedManager<'a> {
+pub struct RelaxedManager<'a> {
     regions: &'a QualityRegionTable,
     relaxation: &'a RelaxationTable,
     hint_q: Quality,
     hint_ri: usize,
 }
 
-impl<'a> HotRelaxedManager<'a> {
-    /// A hot relaxed manager over compiled region + relaxation tables.
+impl<'a> RelaxedManager<'a> {
+    /// A relaxed manager over compiled region + relaxation tables.
     pub fn new(
         regions: &'a QualityRegionTable,
         relaxation: &'a RelaxationTable,
-    ) -> HotRelaxedManager<'a> {
+    ) -> RelaxedManager<'a> {
         debug_assert_eq!(regions.n_states(), relaxation.n_states());
-        // Both hint walks need the compiled tables' monotone/nested
-        // structure (see `HotLookupManager::new`).
-        debug_assert!(regions.rows_monotone(), "choose_from needs monotone rows");
-        debug_assert!(
-            relaxation.nested_over_rho(),
-            "choose_relaxation_from needs ρ-nested intervals"
-        );
-        HotRelaxedManager {
+        RelaxedManager {
             regions,
             relaxation,
             hint_q: regions.qualities().max(),
@@ -362,49 +259,27 @@ impl<'a> HotRelaxedManager<'a> {
     }
 }
 
-impl QualityManager for HotRelaxedManager<'_> {
+impl QualityManager for RelaxedManager<'_> {
+    #[inline]
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let choice = self.regions.choose_from(state, t, self.hint_q);
-        let probes = self.regions.scan_work(choice);
-        match choice {
-            Some(quality) => {
-                self.hint_q = quality;
-                let found = self
-                    .relaxation
-                    .choose_relaxation_from(state, t, quality, self.hint_ri);
-                let r_probes = self.relaxation.scan_work(found);
-                let r = match found {
-                    Some(ri) => {
-                        self.hint_ri = ri;
-                        self.relaxation.rho().steps()[ri]
-                    }
-                    None => {
-                        self.hint_ri = 0;
-                        1
-                    }
-                };
-                let remaining = self.regions.n_states() - state;
-                Decision {
-                    quality,
-                    hold: r.min(remaining).max(1),
-                    work: probes + r_probes,
-                    infeasible: false,
-                }
-            }
-            None => {
-                self.hint_q = Quality::MIN;
-                Decision {
-                    quality: Quality::MIN,
-                    hold: 1,
-                    work: probes,
-                    infeasible: true,
-                }
-            }
+        let mut decision = region_decision(self.regions, state, t, &mut self.hint_q);
+        if !decision.infeasible {
+            let found =
+                self.relaxation
+                    .choose_relaxation_from(state, t, decision.quality, self.hint_ri);
+            decision.work += self.relaxation.scan_work(found);
+            // No interval holding `t` degrades to ρ[0] = 1.
+            self.hint_ri = found.unwrap_or(0);
+            let remaining = self.regions.n_states() - state;
+            decision.hold = self.relaxation.rho().steps()[self.hint_ri]
+                .min(remaining)
+                .max(1);
         }
+        decision
     }
 
     fn name(&self) -> &'static str {
-        "relaxation-hot"
+        "relaxation"
     }
 
     fn reset(&mut self) {
@@ -465,8 +340,11 @@ mod tests {
         let mut numeric = NumericManager::new(&s, &p);
         let mut lookup = LookupManager::new(&regions);
         let mut relaxed = RelaxedManager::new(&regions, &relaxation);
+        // Sweep *sequentially* without resets so the symbolic managers'
+        // hints carry real state between calls, including the infeasible
+        // tail; the charged work must still be the top-down scan's.
         for state in 0..4 {
-            for t_ns in -20..150 {
+            for t_ns in -20..200 {
                 let t = Time::from_ns(t_ns);
                 let dn = numeric.decide(state, t);
                 let dl = lookup.decide(state, t);
@@ -475,9 +353,29 @@ mod tests {
                 assert_eq!(dn.quality, dr.quality, "state {state} t {t}");
                 assert_eq!(dn.infeasible, dl.infeasible);
                 assert_eq!(dn.infeasible, dr.infeasible);
+                let (_, probes) = regions.choose(state, t);
+                assert_eq!(dl.work, probes, "lookup work state {state} t {t}");
+                let r_probes = if dn.infeasible {
+                    0
+                } else {
+                    let (r, r_probes) = relaxation.choose_relaxation(state, t, dn.quality);
+                    assert_eq!(dr.hold, r.min(4 - state), "hold state {state} t {t}");
+                    r_probes
+                };
+                assert_eq!(
+                    dr.work,
+                    probes + r_probes,
+                    "relaxed work state {state} t {t}"
+                );
                 assert!(dr.hold >= 1 && state + dr.hold <= 4);
             }
         }
+        // And after a cycle reset.
+        lookup.reset();
+        assert_eq!(
+            lookup.decide(0, Time::ZERO).work,
+            regions.choose(0, Time::ZERO).1
+        );
     }
 
     #[test]
@@ -497,42 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_managers_match_naive_managers_decision_for_decision() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let regions = QualityRegionTable::from_policy(&s, &p);
-        let relaxation = RelaxationTable::compile(&s, &regions, StepSet::new(vec![1, 2]).unwrap());
-        let mut lookup = LookupManager::new(&regions);
-        let mut hot_lookup = HotLookupManager::new(&regions);
-        let mut relaxed = RelaxedManager::new(&regions, &relaxation);
-        let mut hot_relaxed = HotRelaxedManager::new(&regions, &relaxation);
-        // Sweep *sequentially* without resets so the hot managers' hints
-        // carry real state between calls, including the infeasible tail.
-        for state in 0..4 {
-            for t_ns in -20..200 {
-                let t = Time::from_ns(t_ns);
-                assert_eq!(
-                    hot_lookup.decide(state, t),
-                    lookup.decide(state, t),
-                    "lookup state {state} t {t}"
-                );
-                assert_eq!(
-                    hot_relaxed.decide(state, t),
-                    relaxed.decide(state, t),
-                    "relaxed state {state} t {t}"
-                );
-            }
-        }
-        // And after a cycle reset.
-        hot_lookup.reset();
-        lookup.reset();
-        assert_eq!(
-            hot_lookup.decide(0, Time::ZERO),
-            lookup.decide(0, Time::ZERO)
-        );
-    }
-
-    #[test]
     fn manager_names() {
         let s = sys();
         let p = MixedPolicy::new(&s);
@@ -543,11 +405,6 @@ mod tests {
         assert_eq!(
             RelaxedManager::new(&regions, &relaxation).name(),
             "relaxation"
-        );
-        assert_eq!(HotLookupManager::new(&regions).name(), "regions-hot");
-        assert_eq!(
-            HotRelaxedManager::new(&regions, &relaxation).name(),
-            "relaxation-hot"
         );
     }
 }

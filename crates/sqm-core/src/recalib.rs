@@ -34,7 +34,7 @@
 //!
 //! [`ExecutionTimeSource`]: crate::controller::ExecutionTimeSource
 
-use crate::manager::{Decision, QualityManager};
+use crate::manager::{region_decision, Decision, QualityManager};
 use crate::quality::Quality;
 use crate::regions::QualityRegionTable;
 use crate::time::Time;
@@ -124,6 +124,7 @@ impl TableCell {
 pub struct AdaptiveLookupManager<'c> {
     cell: &'c TableCell,
     table: Arc<QualityRegionTable>,
+    hint: Quality,
     epoch: u64,
     swaps_seen: u64,
 }
@@ -134,6 +135,7 @@ impl<'c> AdaptiveLookupManager<'c> {
         let (epoch, table) = cell.load();
         AdaptiveLookupManager {
             cell,
+            hint: table.qualities().max(),
             table,
             epoch,
             swaps_seen: 0,
@@ -165,21 +167,7 @@ impl<'c> AdaptiveLookupManager<'c> {
 
 impl QualityManager for AdaptiveLookupManager<'_> {
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.table.choose(state, t);
-        match choice {
-            Some(quality) => Decision {
-                quality,
-                hold: 1,
-                work: probes,
-                infeasible: false,
-            },
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
+        region_decision(&self.table, state, t, &mut self.hint)
     }
 
     fn name(&self) -> &'static str {
@@ -188,6 +176,7 @@ impl QualityManager for AdaptiveLookupManager<'_> {
 
     fn reset(&mut self) {
         self.refresh();
+        self.hint = self.table.qualities().max();
     }
 }
 

@@ -22,6 +22,12 @@
 //! into a deduplicated row pool (fleet artifacts). The hot-path accessors
 //! ([`QualityRegionTable::row`], [`QualityRegionTable::choose_from`]) are
 //! layout-agnostic and byte-identical across both.
+//!
+//! Every constructor that takes cells from outside a policy
+//! ([`QualityRegionTable::from_raw`], [`QualityRegionTable::dense_view`],
+//! [`QualityRegionTable::pooled_view`]) rejects rows that are not
+//! non-increasing in `q`: the managers' hinted probe is exact only on
+//! that Proposition-2 structure.
 
 use crate::arena::TableArena;
 use crate::policy::Policy;
@@ -76,22 +82,26 @@ impl QualityRegionTable {
     }
 
     /// Rebuild from raw parts (deserialization). The caller must provide
-    /// `n_states · |Q|` values.
+    /// `n_states · |Q|` values whose rows are non-increasing in `q`;
+    /// returns `None` otherwise.
     pub fn from_raw(
         n_states: usize,
         qualities: QualitySet,
         td: Vec<Time>,
     ) -> Option<QualityRegionTable> {
-        (td.len() == n_states * qualities.len()).then(|| QualityRegionTable {
-            n_states,
-            qualities,
-            arena: TableArena::from_cells(td),
-            layout: RowLayout::Dense { base: 0 },
-        })
+        (td.len() == n_states * qualities.len())
+            .then(|| QualityRegionTable {
+                n_states,
+                qualities,
+                arena: TableArena::from_cells(td),
+                layout: RowLayout::Dense { base: 0 },
+            })
+            .filter(QualityRegionTable::rows_monotone)
     }
 
     /// A dense view over `n_states` rows starting at cell `base` of a
-    /// shared arena. Returns `None` when the arena is too short.
+    /// shared arena. Returns `None` when the arena is too short or a row
+    /// is not non-increasing in `q`.
     pub fn dense_view(
         arena: TableArena,
         base: usize,
@@ -99,18 +109,20 @@ impl QualityRegionTable {
         qualities: QualitySet,
     ) -> Option<QualityRegionTable> {
         let end = base.checked_add(n_states.checked_mul(qualities.len())?)?;
-        (end <= arena.len()).then_some(QualityRegionTable {
-            n_states,
-            qualities,
-            arena,
-            layout: RowLayout::Dense { base },
-        })
+        (end <= arena.len())
+            .then_some(QualityRegionTable {
+                n_states,
+                qualities,
+                arena,
+                layout: RowLayout::Dense { base },
+            })
+            .filter(QualityRegionTable::rows_monotone)
     }
 
     /// A pooled view: `n_states` directory cells at `dir`, each a row index
     /// into the `pool_rows`-row pool starting at `pool`. Returns `None`
-    /// when the directory or pool exceeds the arena, or any directory cell
-    /// is out of `[0, pool_rows)`.
+    /// when the directory or pool exceeds the arena, any directory cell
+    /// is out of `[0, pool_rows)`, or a row is not non-increasing in `q`.
     pub fn pooled_view(
         arena: TableArena,
         dir: usize,
@@ -130,12 +142,14 @@ impl QualityRegionTable {
             let ix = ix.as_ns();
             ix >= 0 && (ix as u64) < pool_rows as u64
         });
-        in_bounds.then_some(QualityRegionTable {
-            n_states,
-            qualities,
-            arena,
-            layout: RowLayout::Pooled { dir, pool },
-        })
+        in_bounds
+            .then_some(QualityRegionTable {
+                n_states,
+                qualities,
+                arena,
+                layout: RowLayout::Pooled { dir, pool },
+            })
+            .filter(QualityRegionTable::rows_monotone)
     }
 
     /// Number of states covered (`|A|`: one decision point per action).
@@ -224,11 +238,8 @@ impl QualityRegionTable {
 
     /// `true` when every row is non-increasing in `q` — the Proposition-2
     /// structure every policy-compiled table has, and the premise of the
-    /// incremental search ([`QualityRegionTable::choose_from`]). Tables
-    /// rebuilt through [`QualityRegionTable::from_raw`] are only
-    /// length-checked, so fast-path consumers `debug_assert!` this before
-    /// trusting the hint walk.
-    pub fn rows_monotone(&self) -> bool {
+    /// hinted probe ([`QualityRegionTable::choose_from`]).
+    fn rows_monotone(&self) -> bool {
         (0..self.n_states).all(|state| self.row(state).windows(2).all(|w| w[0] >= w[1]))
     }
 
@@ -250,14 +261,13 @@ impl QualityRegionTable {
         lower < t && t <= upper
     }
 
-    /// The symbolic Quality Manager's choice: the maximal `q` with
+    /// The paper's top-down scan: the maximal `q` with
     /// `tD(s_state, q) ≥ t`, found by probing levels from `qmax` down.
-    /// Returns the number of table probes alongside (the symbolic manager's
-    /// per-call work, at most `|Q|`).
+    /// Returns the number of table probes alongside (at most `|Q|`).
     ///
-    /// The probe runs over the hoisted [`QualityRegionTable::row`] slice, so
-    /// the per-call `state · |Q|` offset is computed once and the loop is
-    /// bounds-check-free.
+    /// This is the independent **reference** the tests, the fuzz oracle and
+    /// the benches compare against; the managers decide through
+    /// [`QualityRegionTable::choose_from`].
     pub fn choose(&self, state: usize, t: Time) -> (Option<Quality>, u64) {
         let row = self.row(state);
         let mut probes = 0;
@@ -275,9 +285,8 @@ impl QualityRegionTable {
     /// `qmax … q`, i.e. `|Q| − q` levels, or all `|Q|` when no level is
     /// feasible. This is the paper's abstract per-decision work model —
     /// [`crate::manager::Decision::work`] is defined by this formula, not
-    /// by whatever host-side search strategy produced the choice, which is
-    /// what lets the incremental fast path ([`QualityRegionTable::choose_from`])
-    /// stay byte-identical in the virtual time domain.
+    /// by the host-side probes [`QualityRegionTable::choose_from`] happened
+    /// to make.
     #[inline]
     pub fn scan_work(&self, choice: Option<Quality>) -> u64 {
         let nq = self.qualities.len() as u64;
@@ -287,18 +296,16 @@ impl QualityRegionTable {
         }
     }
 
-    /// Incremental region search: the same choice as
-    /// [`QualityRegionTable::choose`], but the probe *resumes from a hint*
+    /// The production region probe: the same choice as
+    /// [`QualityRegionTable::choose`], but the walk *resumes from a hint*
     /// (typically the previously chosen quality) instead of rescanning from
-    /// `qmax`. Because `tD(s, ·)` is non-increasing in `q`, the feasibility
-    /// predicate `tD(s, q) ≥ t` is true exactly for a prefix of quality
-    /// indices, so a local walk up or down from *any* starting point finds
-    /// the maximal feasible level. Consecutive decisions within a cycle
-    /// rarely move more than a level apart, making the amortized cost O(1)
-    /// table probes instead of `O(|Q|)`. (The walk relies on the
-    /// Proposition-2 monotone structure, which every policy-compiled table
-    /// has; a hand-built [`QualityRegionTable::from_raw`] table with
-    /// non-monotone rows must use [`QualityRegionTable::choose`].)
+    /// `qmax`. Because `tD(s, ·)` is non-increasing in `q` (enforced by
+    /// every constructor), the feasibility predicate `tD(s, q) ≥ t` is
+    /// true exactly for a prefix of quality indices, so a local walk up or
+    /// down from *any* starting point finds the maximal feasible level.
+    /// Consecutive decisions within a cycle rarely move more than a level
+    /// apart, making the amortized cost O(1) table probes instead of
+    /// `O(|Q|)`; from `hint = qmax` the walk *is* the top-down scan.
     ///
     /// Host-side work only: charge [`QualityRegionTable::scan_work`] for
     /// the virtual accounting, never the number of probes this method
@@ -321,58 +328,17 @@ impl QualityRegionTable {
     /// for state in 0..2 {
     ///     for t in -10..80 {
     ///         let t = Time::from_ns(t);
-    ///         let (naive, _) = table.choose(state, t);
+    ///         let (reference, _) = table.choose(state, t);
     ///         for hint in sys.qualities().iter() {
-    ///             assert_eq!(table.choose_from(state, t, hint), naive);
+    ///             assert_eq!(table.choose_from(state, t, hint), reference);
     ///         }
     ///     }
     /// }
     /// ```
+    #[inline]
     pub fn choose_from(&self, state: usize, t: Time, hint: Quality) -> Option<Quality> {
         let row = self.row(state);
-        let mut qi = hint.index().min(row.len() - 1);
-        if row[qi] >= t {
-            // Feasible at the hint: walk up while the next level still fits.
-            while qi + 1 < row.len() && row[qi + 1] >= t {
-                qi += 1;
-            }
-            Some(Quality::new(qi as u8))
-        } else {
-            // Infeasible at the hint: walk down to the first feasible level.
-            while qi > 0 {
-                qi -= 1;
-                if row[qi] >= t {
-                    return Some(Quality::new(qi as u8));
-                }
-            }
-            None
-        }
-    }
-
-    /// The symbolic choice via **binary search** over quality levels
-    /// (valid because `tD` is non-increasing in `q`): O(log |Q|) probes
-    /// instead of the linear descent of [`QualityRegionTable::choose`].
-    /// Identical result; worthwhile for large quality sets.
-    pub fn choose_binary(&self, state: usize, t: Time) -> (Option<Quality>, u64) {
-        // Find the largest q with tD(state, q) ≥ t. The predicate
-        // `tD(state, q) ≥ t` is monotone (true for a prefix of q's).
-        let nq = self.qualities.len();
-        let mut probes = 0;
-        let (mut lo, mut hi) = (0usize, nq); // invariant: answer in [lo, hi)
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            probes += 1;
-            if self.t_d(state, Quality::new(mid as u8)) >= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            (None, probes)
-        } else {
-            (Some(Quality::new((lo - 1) as u8)), probes)
-        }
+        hinted_walk(row.len(), hint.index(), |qi| row[qi] >= t).map(|qi| Quality::new(qi as u8))
     }
 
     /// A copy of this table with every boundary shifted by `delta`.
@@ -409,6 +375,26 @@ impl QualityRegionTable {
     /// [`TableArena::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.integer_count() * std::mem::size_of::<Time>()
+    }
+}
+
+/// The one production probe loop: the largest index in `0..len` for which
+/// `fits` holds, found by walking up or down from `hint`. Exact whenever
+/// `fits` is true on a prefix of `0..len` and false after it — the
+/// structure the table constructors enforce. Shared by
+/// [`QualityRegionTable::choose_from`],
+/// [`crate::relaxation::RelaxationTable::choose_relaxation_from`] and
+/// [`crate::artifact::ArtifactView::choose`].
+#[inline]
+pub(crate) fn hinted_walk(len: usize, hint: usize, fits: impl Fn(usize) -> bool) -> Option<usize> {
+    let mut i = hint.min(len.checked_sub(1)?);
+    if fits(i) {
+        while i + 1 < len && fits(i + 1) {
+            i += 1;
+        }
+        Some(i)
+    } else {
+        (0..i).rev().find(|&j| fits(j))
     }
 }
 
@@ -563,22 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_choice_matches_linear_choice() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let table = QualityRegionTable::from_policy(&s, &p);
-        for state in 0..3 {
-            for t_ns in -30..130 {
-                let t = Time::from_ns(t_ns);
-                let (linear, _) = table.choose(state, t);
-                let (binary, probes) = table.choose_binary(state, t);
-                assert_eq!(linear, binary, "state {state} t {t}");
-                assert!(probes <= 2, "⌈log2(3)⌉ probes");
-            }
-        }
-    }
-
-    #[test]
     fn shifted_table_equals_recompiled_table() {
         // Single global deadline: shifting must be exact.
         let s = sys(); // deadline 100 on the last action
@@ -606,16 +576,23 @@ mod tests {
     }
 
     #[test]
-    fn monotonicity_validator_detects_broken_rows() {
+    fn constructors_reject_non_monotone_rows() {
         let s = sys();
         let compiled = QualityRegionTable::from_policy(&s, &MixedPolicy::new(&s));
         assert!(compiled.rows_monotone());
         let qs = QualitySet::new(2).unwrap();
-        let broken =
-            QualityRegionTable::from_raw(1, qs, vec![Time::from_ns(5), Time::from_ns(9)]).unwrap();
+        let broken = vec![Time::from_ns(5), Time::from_ns(9)];
         assert!(
-            !broken.rows_monotone(),
-            "tD increasing in q must be flagged"
+            QualityRegionTable::from_raw(1, qs, broken.clone()).is_none(),
+            "tD increasing in q must be rejected"
+        );
+        let arena = TableArena::from_cells(broken);
+        assert!(QualityRegionTable::dense_view(arena.clone(), 0, 1, qs).is_none());
+        let mut cells = vec![Time::ZERO];
+        cells.extend_from_slice(arena.cells());
+        assert!(
+            QualityRegionTable::pooled_view(TableArena::from_cells(cells), 0, 1, 1, 1, qs)
+                .is_none()
         );
     }
 

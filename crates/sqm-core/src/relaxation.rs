@@ -20,11 +20,15 @@
 //! shared [`TableArena`] — dense after compilation, pooled when loaded
 //! from a fleet artifact — and the per-state rows (`|Q|·|ρ|` cells for each
 //! of the lower and upper bounds) are the unit of content-addressed dedup.
+//! Constructors that take cells from outside the compiler
+//! ([`RelaxationTable::from_raw`], [`RelaxationTable::dense_view`],
+//! [`RelaxationTable::pooled_view`]) reject intervals that are not nested
+//! over `ρ`, the structure the relaxed manager's hinted probe relies on.
 
 use crate::arena::TableArena;
 use crate::error::BuildError;
 use crate::quality::{Quality, QualitySet};
-use crate::regions::QualityRegionTable;
+use crate::regions::{hinted_walk, QualityRegionTable};
 use crate::system::ParameterizedSystem;
 use crate::time::Time;
 use std::collections::VecDeque;
@@ -214,7 +218,8 @@ impl RelaxationTable {
 
     /// A dense view over a shared arena: `n_states · |Q| · |ρ|` lower cells
     /// at `lower` and as many upper cells at `upper`. Returns `None` when
-    /// either block exceeds the arena.
+    /// either block exceeds the arena or the intervals are not nested over
+    /// `ρ`.
     pub fn dense_view(
         arena: TableArena,
         lower: usize,
@@ -228,18 +233,21 @@ impl RelaxationTable {
             .checked_mul(rho.len())?;
         let lo_end = lower.checked_add(block)?;
         let up_end = upper.checked_add(block)?;
-        (lo_end <= arena.len() && up_end <= arena.len()).then_some(RelaxationTable {
-            n_states,
-            qualities,
-            rho,
-            arena,
-            layout: RelaxLayout::Dense { lower, upper },
-        })
+        (lo_end <= arena.len() && up_end <= arena.len())
+            .then_some(RelaxationTable {
+                n_states,
+                qualities,
+                rho,
+                arena,
+                layout: RelaxLayout::Dense { lower, upper },
+            })
+            .filter(RelaxationTable::nested_over_rho)
     }
 
     /// A pooled view over a fleet arena (see [`PooledRelaxation`] for the
-    /// offsets). Returns `None` when a directory or pool exceeds the arena
-    /// or any directory cell is out of its pool's bounds.
+    /// offsets). Returns `None` when a directory or pool exceeds the arena,
+    /// any directory cell is out of its pool's bounds, or the intervals
+    /// are not nested over `ρ`.
     pub fn pooled_view(
         arena: TableArena,
         spec: PooledRelaxation,
@@ -274,6 +282,7 @@ impl RelaxationTable {
                 pool_up: spec.pool_up,
             },
         })
+        .filter(RelaxationTable::nested_over_rho)
     }
 
     /// Number of states.
@@ -384,12 +393,10 @@ impl RelaxationTable {
     /// `true` when the intervals are nested over `ρ` at every `(state, q)`
     /// — lower bounds non-decreasing and upper bounds non-increasing in
     /// `ri`, so membership is prefix-monotone (`Rrq ⊆ Rr'q` for
-    /// `r' ≤ r`). Every compiled table has this Proposition-3 structure;
-    /// tables rebuilt through [`RelaxationTable::from_raw`] are only
-    /// length-checked, so fast-path consumers `debug_assert!` this before
-    /// trusting the hint walk of
-    /// [`RelaxationTable::choose_relaxation_from`].
-    pub fn nested_over_rho(&self) -> bool {
+    /// `r' ≤ r`). Every compiled table has this Proposition-3 structure,
+    /// and the hinted probe [`RelaxationTable::choose_relaxation_from`]
+    /// relies on it.
+    fn nested_over_rho(&self) -> bool {
         (0..self.n_states).all(|state| {
             self.qualities.iter().all(|q| {
                 let (lower, upper) = self.intervals(state, q);
@@ -404,11 +411,13 @@ impl RelaxationTable {
         lo < t && t <= up
     }
 
-    /// The relaxed manager's second lookup: after region membership
+    /// The paper's top-down relaxation scan: after region membership
     /// established quality `q` at `(state, t)`, find the largest `r ∈ ρ`
     /// whose relaxation interval contains `t`. Probes `ρ` from the largest
     /// step down; returns `(r, probes)`. Always succeeds with `r ≥ 1`
-    /// because `R1q = Rq`.
+    /// because `R1q = Rq`. The independent **reference** for
+    /// [`RelaxationTable::choose_relaxation_from`], which the relaxed
+    /// manager decides through.
     pub fn choose_relaxation(&self, state: usize, t: Time, q: Quality) -> (usize, u64) {
         let (lower, upper) = self.intervals(state, q);
         let mut probes = 0;
@@ -438,7 +447,7 @@ impl RelaxationTable {
         }
     }
 
-    /// Incremental relaxation search: the index of the largest step in `ρ`
+    /// The production relaxation probe: the index of the largest step in `ρ`
     /// whose interval contains `t`, resuming the probe from `hint`
     /// (typically the previously chosen index) instead of rescanning from
     /// the largest step. `None` means no interval contains `t` (the
@@ -448,7 +457,8 @@ impl RelaxationTable {
     /// `Rrq ⊆ Rr'q` for `r' ≤ r` (the upper bound is a min over a growing
     /// window, the lower bound `tD(s_{i+r−1}, q+1)` is non-decreasing in
     /// `r`), so membership over `ρ` is true exactly for a prefix of
-    /// indices and a local walk from any hint finds the largest member.
+    /// indices and a local walk from any hint finds the largest member
+    /// (every constructor enforces the nesting).
     ///
     /// Host-side work only: charge [`RelaxationTable::scan_work`] for the
     /// virtual accounting.
@@ -491,22 +501,7 @@ impl RelaxationTable {
         hint: usize,
     ) -> Option<usize> {
         let (lower, upper) = self.intervals(state, q);
-        let nr = lower.len();
-        let mut ri = hint.min(nr - 1);
-        if lower[ri] < t && t <= upper[ri] {
-            while ri + 1 < nr && lower[ri + 1] < t && t <= upper[ri + 1] {
-                ri += 1;
-            }
-            Some(ri)
-        } else {
-            while ri > 0 {
-                ri -= 1;
-                if lower[ri] < t && t <= upper[ri] {
-                    return Some(ri);
-                }
-            }
-            None
-        }
+        hinted_walk(lower.len(), hint, |ri| lower[ri] < t && t <= upper[ri])
     }
 
     /// A copy with every interval shifted by `delta` — exact for a uniform
@@ -569,7 +564,9 @@ impl RelaxationTable {
         }
     }
 
-    /// Rebuild from raw parts (deserialization).
+    /// Rebuild from raw parts (deserialization). Returns `None` when a
+    /// block has the wrong length or the intervals are not nested over
+    /// `ρ`.
     pub fn from_raw(
         n_states: usize,
         qualities: QualitySet,
@@ -580,6 +577,7 @@ impl RelaxationTable {
         let expect = n_states * qualities.len() * rho.len();
         (lower.len() == expect && upper.len() == expect)
             .then(|| RelaxationTable::from_dense_parts(n_states, qualities, rho, lower, upper))
+            .filter(RelaxationTable::nested_over_rho)
     }
 }
 
@@ -771,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn nesting_validator_accepts_compiled_rejects_broken() {
+    fn constructors_reject_intervals_not_nested_over_rho() {
         let s = sys();
         let (_, relax) = tables(&s);
         assert!(relax.nested_over_rho());
@@ -779,10 +777,23 @@ mod tests {
         let mut up = up.to_vec();
         // Widen a larger step's interval past a smaller one's: not nested.
         up[2] = up[0] + Time::from_ns(1_000);
-        let broken =
+        let block = lo.len();
+        let mut cells = lo.to_vec();
+        cells.extend_from_slice(&up);
+        assert!(
             RelaxationTable::from_raw(5, s.qualities(), relax.rho().clone(), lo.to_vec(), up)
-                .unwrap();
-        assert!(!broken.nested_over_rho());
+                .is_none()
+        );
+        let arena = TableArena::from_cells(cells);
+        assert!(RelaxationTable::dense_view(
+            arena,
+            0,
+            block,
+            5,
+            s.qualities(),
+            relax.rho().clone()
+        )
+        .is_none());
     }
 
     #[test]

@@ -207,8 +207,9 @@ pub fn regions_from_str(s: &str) -> Result<QualityRegionTable, ParseError> {
             got: td.len(),
         });
     }
+    // The length is checked above, so only the row order can fail here.
     QualityRegionTable::from_raw(states, qualities, td)
-        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))
+        .ok_or_else(|| ParseError::Inconsistent("region rows not non-increasing in quality".into()))
 }
 
 /// Serialize a relaxation table.
@@ -297,8 +298,9 @@ pub fn relaxation_from_str(s: &str) -> Result<RelaxationTable, ParseError> {
             got: lower.len() + upper.len(),
         });
     }
+    // The lengths are checked above, so only the nesting can fail here.
     RelaxationTable::from_raw(states, qualities, rho, lower, upper)
-        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))
+        .ok_or_else(|| ParseError::Inconsistent("relaxation intervals not nested over rho".into()))
 }
 
 #[cfg(test)]
@@ -379,6 +381,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_tables_the_decision_probe_cannot_walk() {
+        // tD increasing in q: the hinted probe would skip the feasible level.
+        assert!(matches!(
+            regions_from_str("SQM-REGIONS v1\nstates=1 qualities=2\n1 2\n"),
+            Err(ParseError::Inconsistent(_))
+        ));
+        // The r = 2 interval (0, 9] is wider than the r = 1 interval (0, 5].
+        assert!(matches!(
+            relaxation_from_str("SQM-RELAX v1\nstates=1 qualities=1 rho=1,2\nL 0 0\nU 5 9\n"),
+            Err(ParseError::Inconsistent(_))
+        ));
+    }
+
+    #[test]
     fn scanner_accepts_signs_extremes_and_loose_layout() {
         // Tokens may be distributed across lines arbitrarily; '+' signs and
         // the i64 extremes (which alias the infinity sentinels) parse.
@@ -419,9 +435,9 @@ mod tests {
     #[test]
     fn format_line_is_optional_but_checked() {
         // Pre-PR-8 files carry no `format=` line; they still parse.
-        let legacy = "SQM-REGIONS v1\nstates=1 qualities=2\n1 2\n";
+        let legacy = "SQM-REGIONS v1\nstates=1 qualities=2\n2 1\n";
         let t = regions_from_str(legacy).unwrap();
-        assert_eq!(t.raw(), &[Time::from_ns(1), Time::from_ns(2)]);
+        assert_eq!(t.raw(), &[Time::from_ns(2), Time::from_ns(1)]);
 
         // A present-but-future version is a typed rejection, not a
         // misparse of the payload.

@@ -93,8 +93,8 @@
 //! --bin bench_baseline` emits the workspace's performance baseline,
 //! `… --bin bench_fleet` the multi-stream scaling point,
 //! `… --bin bench_stream` the live-traffic backlog/latency point,
-//! `… --bin bench_hotpath` the decision-core fast-path point (naive scan
-//! vs incremental search, byte-identical in virtual time) and
+//! `… --bin bench_hotpath` the decision-core point (the paper's top-down
+//! scan vs the managers' hinted probe, byte-identical in virtual time) and
 //! `… --bin bench_elastic` the elastic-scheduler stress point (10⁵ live
 //! streams, streams/sec and ns/action versus worker count) and
 //! `… --bin bench_faults` the robustness point (differential-fuzzing

@@ -29,7 +29,8 @@ use proptest::prelude::*;
 use speed_qm::core::prelude::*;
 use speed_qm::mpeg::EncoderConfig;
 use sqm_bench::{
-    AudioExperiment, InferExperiment, ManagerKind, NetExperiment, PaperExperiment, Workload,
+    AudioExperiment, InferExperiment, ManagerKind, NetExperiment, PaperExperiment,
+    ReferenceManager, Workload,
 };
 
 const JITTER: f64 = 0.1;
@@ -131,16 +132,29 @@ where
             "{label} {chaining:?}: periodic fleet spec != serial"
         );
 
-        // Path 5 — the hot (incremental-search) regions manager: the fast
-        // path is byte-identical to the naive scan in the virtual time
-        // domain, records included.
-        let mut hot_trace = speed_qm::core::trace::Trace::default();
-        let hot = w.run_closed_hot(CYCLES, chaining, JITTER, SEED, &mut hot_trace);
-        assert_eq!(hot, serial, "{label} {chaining:?}: hot managers != serial");
-        for (a, b) in trace.cycles.iter().zip(&hot_trace.cycles) {
+        // Path 5 — the paper's top-down reference scan: the production
+        // regions manager's hinted probe is byte-identical to it in the
+        // virtual time domain, records included.
+        let reference = ReferenceManager {
+            regions: w.regions(),
+            relaxation: None,
+        };
+        let mut reference_trace = speed_qm::core::trace::Trace::default();
+        let scanned = Engine::new(w.system(), reference, w.overhead()).run_cycles(
+            CYCLES,
+            w.period(),
+            chaining,
+            &mut w.exec_source(JITTER, SEED),
+            &mut reference_trace,
+        );
+        assert_eq!(
+            scanned, serial,
+            "{label} {chaining:?}: reference scan != serial"
+        );
+        for (a, b) in trace.cycles.iter().zip(&reference_trace.cycles) {
             assert_eq!(
                 a.records, b.records,
-                "{label} {chaining:?}: hot trace != serial trace"
+                "{label} {chaining:?}: reference scan trace != serial trace"
             );
         }
 
@@ -316,9 +330,9 @@ fn infer_workload_conforms_across_all_paths() {
 
 /// The MPEG harness's manager-specific paths (numeric and relaxation are
 /// not reachable through the uniform `Workload` seam) honour the same
-/// identities: closed `run_into` ≡ fast-path `run_into_fast` ≡
-/// trace-replay ≡ Periodic+Block `run_stream_into`, for every manager
-/// kind × both chaining variants.
+/// identities: closed `run_into` ≡ trace-replay ≡ Periodic+Block
+/// `run_stream_into` for every manager kind, and ≡ the top-down reference
+/// scan for the symbolic kinds, × both chaining variants.
 #[test]
 fn mpeg_manager_kinds_conform_across_paths() {
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
@@ -327,14 +341,35 @@ fn mpeg_manager_kinds_conform_across_paths() {
         for kind in ManagerKind::ALL {
             let mut trace = speed_qm::core::trace::Trace::default();
             let serial = exp.run_into(kind, CYCLES, JITTER, SEED, None, &mut trace);
-            let mut fast_trace = speed_qm::core::trace::Trace::default();
-            let fast = exp.run_into_fast(kind, CYCLES, JITTER, SEED, None, &mut fast_trace);
-            assert_eq!(fast, serial, "{kind:?} {chaining:?}: fast path != serial");
-            for (a, b) in trace.cycles.iter().zip(&fast_trace.cycles) {
+            let reference = |relaxation| ReferenceManager {
+                regions: &exp.regions,
+                relaxation,
+            };
+            let reference = match kind {
+                ManagerKind::Numeric => None,
+                ManagerKind::Regions => Some(reference(None)),
+                ManagerKind::Relaxation => Some(reference(Some(&exp.relaxation))),
+            };
+            if let Some(reference) = reference {
+                let mut reference_trace = speed_qm::core::trace::Trace::default();
+                let scanned = Engine::new(exp.encoder.system(), reference, kind.overhead_model())
+                    .run_cycles(
+                        CYCLES,
+                        period,
+                        chaining,
+                        &mut exp.encoder.exec(JITTER, SEED),
+                        &mut reference_trace,
+                    );
                 assert_eq!(
-                    a.records, b.records,
-                    "{kind:?} {chaining:?}: fast trace != serial trace"
+                    scanned, serial,
+                    "{kind:?} {chaining:?}: reference scan != serial"
                 );
+                for (a, b) in trace.cycles.iter().zip(&reference_trace.cycles) {
+                    assert_eq!(
+                        a.records, b.records,
+                        "{kind:?} {chaining:?}: reference scan trace != serial trace"
+                    );
+                }
             }
             assert_eq!(
                 trace.run_summary(),

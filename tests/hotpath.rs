@@ -1,21 +1,22 @@
-//! Fast-path ≡ naive-path identities for the decision core.
+//! Production ≡ reference identities for the decision core.
 //!
-//! The hot managers ([`HotLookupManager`] / [`HotRelaxedManager`]) and the
-//! table-level incremental searches (`choose_from` /
+//! The symbolic managers ([`LookupManager`] / [`RelaxedManager`]) and the
+//! table-level hinted probes they decide through (`choose_from` /
 //! `choose_relaxation_from`) must make **exactly** the choices of the
-//! naive top-down scans and charge **exactly** the analytic probe count —
+//! paper's top-down scans and charge **exactly** the analytic probe count —
 //! over arbitrary feasible systems, from *every* possible hint, including
 //! exact region-boundary times (`t = tD(s, q)` and ±1 ns) and the
-//! infeasible tail beyond `tD(s, qmin)`. Engine-level, a hot run's records
-//! must be byte-identical to the naive manager's.
+//! infeasible tail beyond `tD(s, qmin)`. Engine-level, a production run's
+//! records must be byte-identical to the [`ReferenceManager`] scan's.
 
 mod common;
 
-use common::{arb_system, cycle_fraction_exec, OVERHEAD};
+use common::{arb_system, cycle_fraction_exec, ArbSystem, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::compiler::{compile_regions, compile_relaxation};
 use speed_qm::core::prelude::*;
 use speed_qm::core::trace::Trace;
+use sqm_bench::ReferenceManager;
 
 /// Decision times that exercise every structural case at `state`: each
 /// region boundary exactly, one below, one above, far past (infeasible
@@ -43,6 +44,44 @@ fn probe_times(regions: &QualityRegionTable, relax: &RelaxationTable, state: usi
         }
     }
     times
+}
+
+/// One closed-loop run shape over an arbitrary system.
+struct Run<'a> {
+    arb: &'a ArbSystem,
+    cycles: usize,
+    chaining: CycleChaining,
+}
+
+impl Run<'_> {
+    fn trace<M: QualityManager>(&self, manager: M) -> (RunSummary, Trace) {
+        let sys = &self.arb.system;
+        let mut trace = Trace::default();
+        let summary = Engine::new(sys, manager, OVERHEAD).run_cycles(
+            self.cycles,
+            sys.final_deadline(),
+            self.chaining,
+            &mut cycle_fraction_exec(sys, &self.arb.fractions),
+            &mut trace,
+        );
+        (summary, trace)
+    }
+
+    /// `production` and `reference` produce the same summary and records.
+    fn matches<P: QualityManager, R: QualityManager>(
+        &self,
+        production: P,
+        reference: R,
+    ) -> Result<(), TestCaseError> {
+        let name = production.name();
+        let (got, got_trace) = self.trace(production);
+        let (want, want_trace) = self.trace(reference);
+        prop_assert_eq!(got, want, "{} {:?}", name, self.chaining);
+        for (a, b) in want_trace.cycles.iter().zip(&got_trace.cycles) {
+            prop_assert_eq!(&a.records, &b.records, "{} {:?}", name, self.chaining);
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -86,63 +125,25 @@ proptest! {
         }
     }
 
-    /// Engine-level: a run under the hot managers is byte-identical —
-    /// summaries *and* records — to the same run under the naive managers,
-    /// for both chaining variants.
+    /// Engine-level: a run under the production managers is
+    /// byte-identical — summaries *and* records — to the same run under
+    /// the reference scan, for both chaining variants.
     #[test]
-    fn hot_managers_run_byte_identical(arb in arb_system(), cycles in 1usize..5) {
-        let sys = &arb.system;
-        let regions = compile_regions(sys);
-        let n = sys.n_actions();
+    fn managers_run_byte_identical_to_reference_scan(arb in arb_system(), cycles in 1usize..5) {
+        let regions = compile_regions(&arb.system);
+        let n = arb.system.n_actions();
         let rho = StepSet::new((1..=n.min(3)).collect()).unwrap();
-        let relax = compile_relaxation(sys, &regions, rho);
-        let period = sys.final_deadline();
+        let relax = compile_relaxation(&arb.system, &regions, rho);
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            // Lookup pair.
-            let mut naive_trace = Trace::default();
-            let naive = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
-                cycles,
-                period,
-                chaining,
-                &mut cycle_fraction_exec(sys, &arb.fractions),
-                &mut naive_trace,
-            );
-            let mut hot_trace = Trace::default();
-            let hot = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
-                cycles,
-                period,
-                chaining,
-                &mut cycle_fraction_exec(sys, &arb.fractions),
-                &mut hot_trace,
-            );
-            prop_assert_eq!(naive, hot, "{:?}", chaining);
-            for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-                prop_assert_eq!(&a.records, &b.records);
-            }
-
-            // Relaxed pair.
-            let mut naive_trace = Trace::default();
-            let naive = Engine::new(sys, RelaxedManager::new(&regions, &relax), OVERHEAD)
-                .run_cycles(
-                    cycles,
-                    period,
-                    chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut naive_trace,
-                );
-            let mut hot_trace = Trace::default();
-            let hot = Engine::new(sys, HotRelaxedManager::new(&regions, &relax), OVERHEAD)
-                .run_cycles(
-                    cycles,
-                    period,
-                    chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut hot_trace,
-                );
-            prop_assert_eq!(naive, hot, "{:?}", chaining);
-            for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-                prop_assert_eq!(&a.records, &b.records);
-            }
+            let run = Run { arb: &arb, cycles, chaining };
+            run.matches(
+                LookupManager::new(&regions),
+                ReferenceManager { regions: &regions, relaxation: None },
+            )?;
+            run.matches(
+                RelaxedManager::new(&regions, &relax),
+                ReferenceManager { regions: &regions, relaxation: Some(&relax) },
+            )?;
         }
     }
 
@@ -158,7 +159,7 @@ proptest! {
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
             let recorded = {
                 let mut trace = Trace::default();
-                Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
+                Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
                     cycles,
                     period,
                     chaining,
@@ -166,7 +167,7 @@ proptest! {
                     &mut trace,
                 )
             };
-            let null = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
+            let null = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
                 cycles,
                 period,
                 chaining,

@@ -108,7 +108,6 @@ proptest! {
     ) {
         let _ = Artifact::load(&bytes);
         let _ = ArtifactView::new(&bytes);
-        let _ = artifact::delta_decode(&bytes, 16);
     }
 
     /// Every single-byte corruption of a valid artifact is rejected:

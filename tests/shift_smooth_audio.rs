@@ -35,18 +35,6 @@ proptest! {
         prop_assert_eq!(relaxation.shifted(delta), relaxation_moved);
     }
 
-    /// Binary-search region lookup agrees with the linear descent.
-    #[test]
-    fn binary_lookup_equals_linear(arb in arb_system(), probes in proptest::collection::vec(-300i64..1500, 8)) {
-        let regions = compile_regions(&arb.system);
-        for state in 0..arb.system.n_actions() {
-            for &t_ns in &probes {
-                let t = Time::from_ns(t_ns);
-                prop_assert_eq!(regions.choose(state, t).0, regions.choose_binary(state, t).0);
-            }
-        }
-    }
-
     /// The smoothed manager is safe for any admissible execution and never
     /// exceeds the unsmoothed choice.
     #[test]
