@@ -3,11 +3,12 @@
 //!
 //! Where `bench_fleet` shards whole streams over workers, this measures
 //! `sqm_core::elastic` interleaving **100,000 tiny live streams** per
-//! cycle: sharded arrival heaps, a fixed-capacity ready ring,
-//! deterministic stealing and fleet-wide admission. Reported per worker
-//! count (1/2/4/8): host wall-clock (median of 5), streams/sec and
-//! ns/action — machine-dependent numbers (track deltas, not absolutes; on
-//! a single-core container extra workers only add scheduling overhead).
+//! cycle: a monotone radix arrival queue, a fixed-capacity ready ring
+//! dealt to per-worker segments, and fleet-wide admission. Reported
+//! per worker count (1/2/4/8): host wall-clock (median of 5),
+//! streams/sec and ns/action — machine-dependent numbers (track deltas,
+//! not absolutes; on a single-core container extra workers only add
+//! scheduling overhead).
 //!
 //! Correctness gates run before anything is published, and a failed gate
 //! aborts without writing the artifact:

@@ -6,18 +6,28 @@
 //! live deployment has many mostly-idle streams whose cycles *interleave*
 //! in time. This module schedules at cycle granularity:
 //!
-//! * a **sharded binary event heap** ([`ShardedEventHeap`], one lane per
-//!   worker) keyed by each stream's next virtual arrival time — obtained
-//!   without consumption via [`ArrivalSource::peek`];
+//! * a **monotone radix queue** of arrival events keyed by `(time,
+//!   stream)` — each stream's next virtual arrival, obtained without
+//!   consumption via [`ArrivalSource::peek`]. Every key pushed is at least
+//!   the key last popped (a stream's next arrival never precedes its
+//!   current one), which is all a radix queue needs;
 //! * a **start-event heap** ([`EventHeap`]) keyed by the absolute start
-//!   time of each stream's next runnable cycle;
+//!   time of each stream's next queued cycle. A frame that finds its
+//!   stream idle and may start at its arrival skips the heap: that start
+//!   is the global minimum, so the next iteration would pop it anyway;
 //! * a fixed-capacity **ready ring**: each scheduling round drains due
-//!   events into at most [`ElasticConfig::ring_capacity`] ready cycles;
-//! * **per-worker run queues with deterministic stealing**: the ring is
-//!   split into one contiguous segment per worker, each with its own
-//!   cacheline-padded claim cursor; a worker that drains its segment
-//!   steals from victims chosen by `(worker + step + round) % workers` —
-//!   a function of worker index and round counter, never host timing;
+//!   events into at most [`ElasticConfig::ring_capacity`] jobs. The
+//!   scheduler owns one record per stream (source, [`StreamCursor`],
+//!   queue, backlog account, driver); a job carries its stream's driver
+//!   out **by value** and brings it back with the cycle's
+//!   [`CycleSummary`], which the scheduler folds into the cursor when the
+//!   round completes;
+//! * **owned segments on persistent workers**: with `W > 1` workers the
+//!   ring is dealt round-robin into `W` segments; the caller's thread runs
+//!   segment 0 and `W − 1` scoped threads, alive for the whole run, run
+//!   the others, each segment handed over and back through a channel. No
+//!   lock guards any stream: a job's driver belongs to whoever holds the
+//!   job;
 //! * **fleet-wide admission control** ([`Admission::DropNewest`]): a
 //!   shared [`ShedLedger`] counts the *aggregate* backlog, and a frame is
 //!   shed iff its stream is already behind **and** the fleet as a whole
@@ -31,15 +41,15 @@
 //!
 //! 1. *Virtual-time scheduling* — which frames are admitted or shed, and
 //!    when each admitted cycle starts — is computed by a serial,
-//!    deterministic discrete-event loop over the heaps. Nothing in it
-//!    reads the worker count: the sharded heap pops the global minimum
-//!    across lanes (keys are unique per stream, so lane count cannot
-//!    change pop order), and the ring capacity is configuration, not
+//!    deterministic discrete-event loop over the queues. Nothing in it
+//!    reads the worker count: the arrival queue pops events in exact
+//!    `(time, stream)` order, and the ring capacity is configuration, not
 //!    `workers`.
-//! 2. *Host execution* — which worker runs which ready cycle — only maps
-//!    already-scheduled work onto threads. Streams are independent and a
-//!    stream has at most one cycle per round, so assignment (and
-//!    stealing) changes wall-clock time, never results.
+//! 2. *Host execution* — which worker runs which job — only maps
+//!    already-scheduled work onto threads. Streams are independent, a
+//!    stream has at most one job per round, and the scheduler folds the
+//!    round back in only after every segment has run, so the mapping
+//!    changes wall-clock time, never results.
 //!
 //! Per-stream results under [`Admission::Unbounded`] are identical to
 //! running each stream through [`crate::stream::StreamingRunner`] with
@@ -68,19 +78,25 @@
 //! content-driven execution-time sources aligned (same rule as
 //! [`crate::stream`]).
 //!
+//! ## Panics
+//!
+//! A panicking [`CycleDriver`] stops its round: [`ElasticRunner::run`]
+//! waits for the other segments, then re-raises with a message naming
+//! the stream index and frame, at every worker count.
+//!
 //! [`OverloadPolicy::Block`]: crate::stream::OverloadPolicy::Block
 //! [`StreamStats::max_backlog`]: crate::stream::StreamStats::max_backlog
 
 use crate::controller::ExecutionTimeSource;
 use crate::engine::{CycleChaining, CycleSummary, Engine, RunSummary, TraceSink};
-use crate::fleet::CachePadded;
+use crate::fleet::panic_message;
 use crate::manager::QualityManager;
 use crate::source::ArrivalSource;
 use crate::stream::{StreamCursor, StreamStats, StreamSummary};
 use crate::time::Time;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 
 /// A hand-rolled binary min-heap of `(time, stream)` events.
 ///
@@ -173,64 +189,120 @@ impl EventHeap {
     }
 }
 
-/// One [`EventHeap`] lane per worker, keyed by stream id (`stream %
-/// lanes`), popped globally smallest-first.
+/// A monotone radix queue of `(time, stream)` events: the arrival queue.
 ///
-/// Each stream has at most one pending arrival event, so every key is
-/// unique and the pop order across lanes is exactly the sorted order of
-/// all queued events — **independent of the lane count**. That is what
-/// lets the lane count track the worker count (locality: a worker's
-/// streams cluster in its lane) without the worker count ever leaking
-/// into scheduling decisions.
-#[derive(Clone, Debug)]
-pub struct ShardedEventHeap {
-    lanes: Vec<EventHeap>,
+/// Keys pack into one `u128` (`time` with its sign bit flipped, so the
+/// unsigned order is the signed one, above the `u32` stream id), and a
+/// key lives in bucket `b` when its highest bit differing from `last` —
+/// the minimum last popped or peeked — is bit `b − 1`; bucket 0 holds
+/// keys equal to `last`. Pushes must not undercut `last` (checked in
+/// debug builds). The arrival loop meets that by construction: a stream
+/// re-keys only right after its own event popped, on a timestamp clamped
+/// to at least that event's. Pop order is then the exact sorted key
+/// order, ties on time broken by stream id.
+///
+/// A push is `O(1)`; a pop that finds bucket 0 empty redistributes the
+/// first occupied bucket, each key moving to a strictly lower bucket, so
+/// a key moves at most 128 times over its life. An emptied bucket keeps
+/// its storage only while all buckets together hold at most twice the
+/// live count (small buckets always keep theirs), so the storage held
+/// stays `O(live events)` and a steady population stops allocating.
+#[derive(Debug)]
+struct RadixQueue {
+    buckets: Vec<Vec<u128>>,
+    /// Bit `b` set iff bucket `b` is non-empty.
+    occupied: [u64; 3],
+    last: u128,
+    len: usize,
 }
 
-impl ShardedEventHeap {
-    /// A heap with `lanes` lanes (clamped to at least 1).
-    pub fn new(lanes: usize) -> ShardedEventHeap {
-        ShardedEventHeap {
-            lanes: vec![EventHeap::new(); lanes.max(1)],
+/// Buckets: one per possible highest differing bit of a `u128`, plus 0.
+const RADIX_BUCKETS: usize = 129;
+
+/// Emptied buckets up to this capacity always keep their storage.
+const RADIX_SPARE: usize = 256;
+
+impl RadixQueue {
+    fn new() -> RadixQueue {
+        RadixQueue {
+            buckets: vec![Vec::new(); RADIX_BUCKETS],
+            occupied: [0; 3],
+            last: 0,
+            len: 0,
         }
     }
 
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
+    fn key(time: Time, stream: u32) -> u128 {
+        let t = (time.as_ns() as u64) ^ (1 << 63);
+        (u128::from(t) << 32) | u128::from(stream)
     }
 
-    /// Total queued events across lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(EventHeap::len).sum()
+    fn unkey(key: u128) -> (Time, u32) {
+        let t = ((key >> 32) as u64 ^ (1 << 63)) as i64;
+        (Time::from_ns(t), key as u32)
     }
 
-    /// `true` when every lane is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(EventHeap::is_empty)
+    fn bucket_of(&self, key: u128) -> usize {
+        (128 - (key ^ self.last).leading_zeros()) as usize
     }
 
-    /// Queue an event in its stream's lane.
-    pub fn push(&mut self, time: Time, stream: u32) {
-        let lane = stream as usize % self.lanes.len();
-        self.lanes[lane].push(time, stream);
+    /// Keys the buckets can hold without growing.
+    fn storage(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
     }
 
-    /// The globally minimum event across lanes, without removing it.
-    pub fn peek_min(&self) -> Option<(Time, u32)> {
-        self.lanes.iter().filter_map(EventHeap::peek).min()
+    fn insert(&mut self, key: u128) {
+        let b = self.bucket_of(key);
+        self.buckets[b].push(key);
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
-    /// Remove and return the globally minimum event.
-    pub fn pop_min(&mut self) -> Option<(Time, u32)> {
-        let lane = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.peek().map(|top| (top, i)))
-            .min()?
-            .1;
-        self.lanes[lane].pop()
+    fn push(&mut self, time: Time, stream: u32) {
+        let key = RadixQueue::key(time, stream);
+        debug_assert!(
+            key >= self.last,
+            "non-monotone push {:?} below {:?}",
+            (time, stream),
+            RadixQueue::unkey(self.last)
+        );
+        self.insert(key);
+        self.len += 1;
+    }
+
+    /// Move the minimum into bucket 0 (making it `last`) and return it.
+    fn settle(&mut self) -> Option<u128> {
+        if self.occupied[0] & 1 == 0 {
+            let (word, bits) = self.occupied.iter().enumerate().find(|(_, w)| **w != 0)?;
+            let b = word * 64 + bits.trailing_zeros() as usize;
+            self.occupied[word] &= !(1 << (b % 64));
+            let mut keys = std::mem::take(&mut self.buckets[b]);
+            self.last = *keys.iter().min().expect("occupied bucket");
+            for &key in &keys {
+                self.insert(key);
+            }
+            keys.clear();
+            if keys.capacity() <= RADIX_SPARE || self.storage() + keys.capacity() <= 2 * self.len {
+                self.buckets[b] = keys;
+            }
+        }
+        Some(self.last)
+    }
+
+    /// The minimum event, without removing it.
+    fn peek(&mut self) -> Option<(Time, u32)> {
+        self.settle().map(RadixQueue::unkey)
+    }
+
+    /// Remove and return the minimum event.
+    fn pop(&mut self) -> Option<(Time, u32)> {
+        let key = self.settle()?;
+        let zero = &mut self.buckets[0];
+        zero.pop();
+        if zero.is_empty() {
+            self.occupied[0] &= !1;
+        }
+        self.len -= 1;
+        Some(RadixQueue::unkey(key))
     }
 }
 
@@ -420,22 +492,38 @@ impl ElasticSummary {
     }
 }
 
-/// One cycle the scheduler has committed to run this round.
-#[derive(Clone, Copy, Debug)]
-struct Ready {
-    stream: u32,
-    frame: usize,
-    arrival: Time,
-    start: Time,
+/// A FIFO that keeps its first element inline and spills to a
+/// `VecDeque` only at depth ≥ 2, so a stream that keeps up never
+/// allocates.
+#[derive(Clone, Debug, Default)]
+struct SmallQueue<T> {
+    /// The front element; `None` only when the queue is empty.
+    head: Option<T>,
+    tail: VecDeque<T>,
 }
 
-/// Worker-side per-stream state: the driver and the execution cursor,
-/// behind a mutex so any worker can run the stream's next cycle. A stream
-/// has at most one ready cycle per round, so the locks never contend —
-/// they exist for thread-safety proof, not for queuing.
-struct Slot<D> {
-    driver: D,
-    cursor: StreamCursor,
+impl<T: Copy> SmallQueue<T> {
+    fn front(&self) -> Option<&T> {
+        self.head.as_ref()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head.is_none()
+    }
+
+    fn push_back(&mut self, value: T) {
+        if self.head.is_none() {
+            self.head = Some(value);
+        } else {
+            self.tail.push_back(value);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let head = self.head.take();
+        self.head = self.tail.pop_front();
+        head
+    }
 }
 
 /// Per-stream backlog accounting at admission granularity.
@@ -448,62 +536,48 @@ struct Slot<D> {
 /// arrivals at event-loop granularity, often rounds ahead of execution,
 /// so its own queue depths are not comparable; this shadow re-derives the
 /// per-stream sequence from the admitted-arrival and completion streams
-/// alone. Both feeds are monotone, so a two-pointer classification is
-/// exact in O(1) amortized: arrival `j` is judged once the stream's first
-/// `j` completions are known (frames finish in order, and frame `j`
-/// cannot finish before arrival `j` is admitted, so exactly `j`
-/// completions are visible at that moment — later ones cannot leak in).
+/// alone. Arrival `j` is classified once the stream's first `j`
+/// completions are known, which is at one of two points: at its
+/// admission when the stream is idle (every earlier frame is done), or
+/// otherwise when frame `j − 1` completes — frame `j` is then at the
+/// front of the stream's queue. Frames finish in order and frame `j`
+/// cannot finish before it is admitted, so exactly `j` completions are
+/// visible at that moment. Both feeds are monotone, so consumed
+/// completions never need revisiting.
 #[derive(Clone, Debug, Default)]
 struct ShadowBacklog {
-    /// Completion times recorded but not yet consumed by classification.
-    comps: VecDeque<Time>,
-    /// Total completions recorded.
-    comp_seen: usize,
+    /// Completion times recorded but not yet passed by a classified
+    /// arrival.
+    comps: SmallQueue<Time>,
     /// Completions consumed, i.e. `#{completions < a_j}` for the last
-    /// classified arrival (both feeds are monotone, so consumed
-    /// completions never need revisiting).
-    comps_popped: usize,
-    /// Admitted arrivals awaiting classification.
-    pending: VecDeque<Time>,
-    /// Index of the next arrival to classify.
+    /// classified arrival.
+    consumed: usize,
+    /// Arrivals classified so far.
     classified: usize,
     /// High-water mark of the classified depths.
     max_backlog: usize,
 }
 
 impl ShadowBacklog {
-    /// Record the stream's next admitted arrival (shed frames excluded).
-    fn on_admit(&mut self, arrival: Time) {
-        self.pending.push_back(arrival);
-        self.drain();
-    }
-
     /// Record the completion of the stream's next admitted frame.
     fn on_complete(&mut self, completion: Time) {
         self.comps.push_back(completion);
-        self.comp_seen += 1;
-        self.drain();
     }
 
-    /// Classify every pending arrival whose completion prefix is known.
-    fn drain(&mut self) {
-        while let Some(&a) = self.pending.front() {
-            if self.comp_seen < self.classified {
-                break;
-            }
-            while self.comps.front().is_some_and(|&c| c < a) {
-                self.comps.pop_front();
-                self.comps_popped += 1;
-            }
-            self.max_backlog = self.max_backlog.max(self.classified - self.comps_popped);
-            self.pending.pop_front();
-            self.classified += 1;
+    /// Classify the stream's next admitted arrival (see the type docs
+    /// for when its completion prefix is known).
+    fn classify(&mut self, arrival: Time) {
+        while self.comps.front().is_some_and(|&c| c < arrival) {
+            self.comps.pop_front();
+            self.consumed += 1;
         }
+        self.max_backlog = self.max_backlog.max(self.classified - self.consumed);
+        self.classified += 1;
     }
 }
 
-/// Scheduler-side per-stream state (never crosses a thread boundary).
-struct SchedStream<A> {
+/// Everything the scheduler keeps about one stream, in one record.
+struct Stream<A, D> {
     source: A,
     /// Monotonicity clamp for source timestamps (same contract as
     /// `StreamingRunner`).
@@ -513,23 +587,89 @@ struct SchedStream<A> {
     /// Admitted frames not yet started: `(frame, arrival, counted)`,
     /// where `counted` records whether the frame was charged to the
     /// global backlog at admission.
-    queue: VecDeque<(usize, Time, bool)>,
-    /// A cycle of this stream is in the current round's ring.
-    in_flight: bool,
+    queue: SmallQueue<(usize, Time, bool)>,
+    cursor: StreamCursor,
     /// Admission-granular backlog account (see [`ShadowBacklog`]).
     shadow: ShadowBacklog,
+    /// The stream's driver; `None` while it is out in the round's ring,
+    /// which is what "a cycle of this stream is in flight" means.
+    driver: Option<D>,
 }
 
-/// The serial deterministic scheduling core: owns the heaps, the queues
-/// and the ledger; fills the ring each round and folds completions back
-/// in between rounds. Never sees the worker count.
-struct Scheduler<A> {
+impl<A, D> Stream<A, D> {
+    /// Nothing in flight and nothing queued.
+    fn idle(&self) -> bool {
+        self.driver.is_some() && self.queue.is_empty()
+    }
+}
+
+/// One cycle committed to this round: it carries its stream's driver
+/// out and the cycle's summary back.
+struct Job<D> {
+    stream: u32,
+    frame: usize,
+    arrival: Time,
+    start: Time,
+    driver: D,
+    /// Set once the cycle has run.
+    summary: Option<CycleSummary>,
+}
+
+/// Run `jobs` in order. A panic stops the segment and returns the
+/// failing job's index and the panic message.
+fn run_jobs<D: CycleDriver>(jobs: &mut [Job<D>]) -> Result<(), (usize, String)> {
+    let mut at = 0;
+    catch_unwind(AssertUnwindSafe(|| {
+        for (i, job) in jobs.iter_mut().enumerate() {
+            at = i;
+            job.summary = Some(job.driver.run_cycle(job.frame, job.start - job.arrival));
+        }
+    }))
+    .map_err(|payload| (at, panic_message(payload)))
+}
+
+/// The round's jobs, dealt round-robin into one owned segment per worker
+/// as they are committed: job `p` goes to segment `p % segments`.
+/// Dealing maps work onto threads and nothing else — the scheduler reads
+/// back only the job count.
+struct Ring<D> {
+    segments: Vec<Vec<Job<D>>>,
+    len: usize,
+}
+
+impl<D> Ring<D> {
+    fn new(segments: usize, capacity: usize) -> Ring<D> {
+        Ring {
+            segments: (0..segments)
+                .map(|_| Vec::with_capacity(capacity.div_ceil(segments)))
+                .collect(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, job: Job<D>) {
+        let n = self.segments.len();
+        self.segments[self.len % n].push(job);
+        self.len += 1;
+    }
+
+    /// The job at ring position `p`.
+    fn job(&self, p: usize) -> &Job<D> {
+        let n = self.segments.len();
+        &self.segments[p % n][p / n]
+    }
+}
+
+/// The serial deterministic scheduling core: owns the stream records,
+/// the event queues and the ledger; fills the ring each round and folds
+/// completed jobs back in between rounds. Never sees the worker count.
+struct Scheduler<A, D> {
     chaining: CycleChaining,
     admission: Admission,
     ring_capacity: usize,
-    streams: Vec<SchedStream<A>>,
+    streams: Vec<Stream<A, D>>,
     start_heap: EventHeap,
-    arrivals: ShardedEventHeap,
+    arrivals: RadixQueue,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
     /// bounds queue growth and keeps admission decisions near the
     /// execution frontier. Monotone, worker-count independent.
@@ -539,22 +679,23 @@ struct Scheduler<A> {
     ledger: ShedLedger,
 }
 
-impl<A: ArrivalSource> Scheduler<A> {
-    fn new(config: ElasticConfig, lanes: usize, sources: Vec<A>) -> Scheduler<A> {
-        let mut arrivals = ShardedEventHeap::new(lanes);
-        let mut streams = Vec::with_capacity(sources.len());
-        for (i, mut source) in sources.into_iter().enumerate() {
+impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
+    fn new(config: ElasticConfig, population: Vec<(A, D)>) -> Scheduler<A, D> {
+        let mut arrivals = RadixQueue::new();
+        let mut streams = Vec::with_capacity(population.len());
+        for (i, (mut source, driver)) in population.into_iter().enumerate() {
             let floor = Time::ZERO;
             if let Some(t) = source.peek() {
                 arrivals.push(t.max(floor), i as u32);
             }
-            streams.push(SchedStream {
+            streams.push(Stream {
                 source,
                 floor,
                 next_frame: 0,
-                queue: VecDeque::new(),
-                in_flight: false,
+                queue: SmallQueue::default(),
+                cursor: StreamCursor::new(),
                 shadow: ShadowBacklog::default(),
+                driver: Some(driver),
             });
         }
         Scheduler {
@@ -570,21 +711,18 @@ impl<A: ArrivalSource> Scheduler<A> {
         }
     }
 
-    /// Drain due events into `ring` (cleared first), up to capacity.
-    /// Event order is the global `(time, start-before-arrival, stream)`
-    /// order; an arrival is *due* once it is at or before the horizon, or
+    /// Drain due events into the empty `ring`, up to capacity. Event
+    /// order is the global `(time, start-before-arrival, stream)` order;
+    /// an arrival is *due* once it is at or before the horizon, or
     /// unconditionally when nothing is scheduled at all (bootstrap). An
     /// empty ring on return means the run is complete.
-    fn fill<D>(&mut self, ring: &mut Vec<Ready>, slots: &[Mutex<Slot<D>>]) {
-        ring.clear();
-        loop {
-            if ring.len() == self.ring_capacity {
-                break;
-            }
+    fn fill(&mut self, ring: &mut Ring<D>) {
+        debug_assert_eq!(ring.len, 0, "the previous round was folded back");
+        while ring.len < self.ring_capacity {
             let start_top = self.start_heap.peek();
-            let arrival_top = self.arrivals.peek_min();
+            let arrival_top = self.arrivals.peek();
             let arrival_due = match arrival_top {
-                Some((ta, _)) => ta <= self.horizon || (ring.is_empty() && start_top.is_none()),
+                Some((ta, _)) => ta <= self.horizon || (ring.len == 0 && start_top.is_none()),
                 None => false,
             };
             let take_start = match (start_top, arrival_top) {
@@ -596,70 +734,85 @@ impl<A: ArrivalSource> Scheduler<A> {
             };
             if take_start {
                 let (ts, s) = self.start_heap.pop().expect("peeked");
-                self.process_start(ts, s, ring);
+                let (frame, arrival, counted) = self.streams[s as usize]
+                    .queue
+                    .pop_front()
+                    .expect("a start event implies a queued frame");
+                if counted {
+                    self.backlog -= 1;
+                }
+                self.begin(s, frame, arrival, ts, ring);
             } else if arrival_due {
-                let (ta, s) = self.arrivals.pop_min().expect("peeked");
-                self.process_arrival(ta, s, slots);
+                let (ta, s) = self.arrivals.pop().expect("peeked");
+                self.process_arrival(ta, s, ring);
             } else {
                 break;
             }
         }
     }
 
-    fn process_start(&mut self, ts: Time, s: u32, ring: &mut Vec<Ready>) {
-        let st = &mut self.streams[s as usize];
-        let (frame, arrival, counted) = st
-            .queue
-            .pop_front()
-            .expect("a start event implies a queued frame");
-        if counted {
-            self.backlog -= 1;
-        }
-        st.in_flight = true;
-        ring.push(Ready {
+    /// Commit stream `s`'s frame to the ring, starting at `start`.
+    fn begin(&mut self, s: u32, frame: usize, arrival: Time, start: Time, ring: &mut Ring<D>) {
+        let driver = self.streams[s as usize]
+            .driver
+            .take()
+            .expect("a stream has at most one cycle per round");
+        ring.push(Job {
             stream: s,
             frame,
             arrival,
-            start: ts,
+            start,
+            driver,
+            summary: None,
         });
-        self.horizon = self.horizon.max(ts);
+        self.horizon = self.horizon.max(start);
     }
 
-    fn process_arrival<D>(&mut self, ta: Time, s: u32, slots: &[Mutex<Slot<D>>]) {
+    /// Judge stream `s`'s arrival at `ta` — shed it, queue it, or start
+    /// it — and re-key the stream on its next arrival.
+    fn process_arrival(&mut self, ta: Time, s: u32, ring: &mut Ring<D>) {
         let st = &mut self.streams[s as usize];
         let frame = st.next_frame;
         st.next_frame += 1;
         self.ledger.arrived += 1;
-        // Workers are parked while the scheduler runs, so slot locks are
-        // uncontended here.
-        let mut slot = slots[s as usize].lock().expect("slot lock");
-        slot.cursor.note_arrival();
+        st.cursor.note_arrival();
         // A frame counts toward the global backlog iff its stream is
         // already behind; only counted frames are ever shed.
-        let counted = st.in_flight || !st.queue.is_empty();
+        let counted = !st.idle();
         let shed = match self.admission {
             Admission::Unbounded => false,
             Admission::DropNewest { global_capacity } => counted && self.backlog >= global_capacity,
         };
+        let mut bypass = None;
         if shed {
             self.ledger.shed += 1;
-            slot.cursor.note_drop();
+            st.cursor.note_drop();
         } else {
             self.ledger.admitted += 1;
             if counted {
                 self.backlog += 1;
                 self.ledger.peak_backlog = self.ledger.peak_backlog.max(self.backlog);
+                st.queue.push_back((frame, ta, true));
+            } else {
+                // Idle: every earlier frame is done, so the arrival is
+                // classifiable now. A start at or before `ta` is below
+                // every start event (those lost to this arrival) and
+                // every arrival event (none precedes `ta`), and the ring
+                // still has the room it had when this arrival was taken:
+                // the next iteration would pop the start, so it goes
+                // straight into the ring.
+                st.shadow.classify(ta);
+                let start = st.cursor.start_for(self.chaining, ta);
+                if start <= ta {
+                    bypass = Some(start);
+                } else {
+                    st.queue.push_back((frame, ta, false));
+                    self.start_heap.push(start, s);
+                }
             }
-            st.queue.push_back((frame, ta, counted));
-            if !st.in_flight && st.queue.len() == 1 {
-                self.start_heap
-                    .push(slot.cursor.start_for(self.chaining, ta), s);
-            }
-            st.shadow.on_admit(ta);
         }
-        drop(slot);
-        // Consume the peeked timestamp and re-key the stream's lane on
-        // the following one. peek-then-next ≡ next keeps this exact.
+        // Consume the peeked timestamp and re-key the stream on the
+        // following one. peek-then-next ≡ next keeps this exact.
         let consumed = st
             .source
             .next_arrival()
@@ -670,34 +823,96 @@ impl<A: ArrivalSource> Scheduler<A> {
         if let Some(next) = st.source.peek() {
             self.arrivals.push(next.max(st.floor), s);
         }
+        if let Some(start) = bypass {
+            self.begin(s, frame, ta, start, ring);
+        }
     }
 
-    /// Fold a finished round back in: every executed stream's clock has
-    /// advanced, so streams with queued frames get their next start
-    /// event.
-    fn complete_round<D>(&mut self, ring: &[Ready], slots: &[Mutex<Slot<D>>]) {
-        for r in ring {
-            let st = &mut self.streams[r.stream as usize];
-            st.in_flight = false;
-            let slot = slots[r.stream as usize].lock().expect("slot lock");
-            st.shadow.on_complete(slot.cursor.now());
+    /// Fold a finished round back in: each job's driver goes home, its
+    /// summary advances the stream's cursor, and streams with queued
+    /// frames get their next start event. A stream has at most one job
+    /// per round and start keys are unique, so the order jobs are folded
+    /// in cannot change the result.
+    fn complete_round(&mut self, ring: &mut Ring<D>) {
+        ring.len = 0;
+        for job in ring.segments.iter_mut().flat_map(|s| s.drain(..)) {
+            let st = &mut self.streams[job.stream as usize];
+            let summary = job.summary.expect("every job of a completed round ran");
+            st.cursor.absorb(job.arrival, job.start, &summary);
+            st.driver = Some(job.driver);
+            st.shadow.on_complete(st.cursor.now());
             if let Some(&(_, arrival, _)) = st.queue.front() {
+                st.shadow.classify(arrival);
                 self.start_heap
-                    .push(slot.cursor.start_for(self.chaining, arrival), r.stream);
+                    .push(st.cursor.start_for(self.chaining, arrival), job.stream);
             }
         }
         self.ledger.rounds += 1;
     }
+
+    /// The round loop: fill, execute, fold back in, until a fill comes
+    /// back empty. `execute` runs every job of the ring and reports the
+    /// earliest failed ring position with its panic message, which is
+    /// re-raised naming the stream and frame.
+    fn drive(
+        &mut self,
+        ring: &mut Ring<D>,
+        mut execute: impl FnMut(&mut Ring<D>) -> Option<(usize, String)>,
+    ) {
+        loop {
+            self.fill(ring);
+            if ring.len == 0 {
+                return;
+            }
+            if let Some((p, message)) = execute(ring) {
+                let job = ring.job(p);
+                panic!(
+                    "elastic worker panicked on stream {} (frame {}): {message}",
+                    job.stream, job.frame
+                );
+            }
+            self.complete_round(ring);
+        }
+    }
+
+    /// The finished run: the summary and the drivers in submission order.
+    fn finish(self) -> (ElasticSummary, Vec<D>) {
+        let Scheduler {
+            streams, ledger, ..
+        } = self;
+        let mut summary = ElasticSummary {
+            per_stream: Vec::with_capacity(streams.len()),
+            run: RunSummary::default(),
+            stats: StreamStats::default(),
+            ledger,
+        };
+        let mut drivers = Vec::with_capacity(streams.len());
+        for st in streams {
+            let mut s = st.cursor.summary();
+            // The cursor never saw scheduler queue depths; the shadow
+            // account supplies the admission-granular high-water mark.
+            s.stats.max_backlog = st.shadow.max_backlog;
+            summary.run.merge(&s.run);
+            summary.stats.merge(&s.stats);
+            summary.per_stream.push(s);
+            drivers.push(
+                st.driver
+                    .expect("every driver is home after the last round"),
+            );
+        }
+        (summary, drivers)
+    }
 }
 
 /// Runs many live streams through per-cycle elastic scheduling on a
-/// fixed-size pool of scoped OS threads.
+/// fixed-size pool of workers: the caller's thread plus `workers − 1`
+/// scoped OS threads.
 ///
 /// Construction fixes the worker count and the [`ElasticConfig`]; one
 /// runner value can drive many fleets. With one worker (or one stream)
-/// everything runs inline on the caller's thread — which is also the
-/// reference schedule every multi-worker run is guaranteed to reproduce
-/// byte-for-byte.
+/// everything runs inline on the caller's thread, with no lock and no
+/// thread — which is also the reference schedule every multi-worker run
+/// is guaranteed to reproduce byte-for-byte.
 ///
 /// # Examples
 ///
@@ -748,7 +963,7 @@ pub struct ElasticRunner {
 }
 
 impl ElasticRunner {
-    /// A runner with `workers` threads (clamped to at least 1) and the
+    /// A runner with `workers` workers (clamped to at least 1) and the
     /// given configuration.
     pub fn new(workers: usize, config: ElasticConfig) -> ElasticRunner {
         ElasticRunner {
@@ -768,9 +983,14 @@ impl ElasticRunner {
     }
 
     /// Drain every stream's source, scheduling cycles fleet-wide in
-    /// arrival order and executing each round's ready cycles on the
-    /// worker pool. Returns the summary and the drivers (in submission
-    /// order), so callers can extract sinks or reuse engines.
+    /// arrival order and executing each round's jobs on the workers.
+    /// Returns the summary and the drivers (in submission order), so
+    /// callers can extract sinks or reuse engines.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a driver's panic, naming the stream index and frame
+    /// (the rest of the round is abandoned).
     pub fn run<A, D>(&self, streams: Vec<(A, D)>) -> (ElasticSummary, Vec<D>)
     where
         A: ArrivalSource,
@@ -781,132 +1001,85 @@ impl ElasticRunner {
             "stream ids are u32: at most {} streams",
             u32::MAX
         );
-        let n = streams.len();
-        let workers = self.workers.min(n.max(1));
-        let mut sources = Vec::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
-        for (source, driver) in streams {
-            sources.push(source);
-            slots.push(Mutex::new(Slot {
-                driver,
-                cursor: StreamCursor::new(),
-            }));
-        }
-        let mut sched = Scheduler::new(self.config, workers, sources);
-
+        let workers = self.workers.min(streams.len().max(1));
+        let mut sched = Scheduler::new(self.config, streams);
+        let mut ring = Ring::new(workers, sched.ring_capacity);
         if workers == 1 {
-            let mut ring = Vec::with_capacity(sched.ring_capacity);
-            loop {
-                sched.fill(&mut ring, &slots);
-                if ring.is_empty() {
-                    break;
-                }
-                for r in &ring {
-                    execute(r, &slots[r.stream as usize]);
-                }
-                sched.complete_round(&ring, &slots);
-            }
+            sched.drive(&mut ring, |ring| run_jobs(&mut ring.segments[0]).err());
         } else {
-            let ring_lock = RwLock::new(Vec::with_capacity(sched.ring_capacity));
-            let cursors: Vec<CachePadded<AtomicUsize>> = (0..workers)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect();
-            // Two waits per round: A releases workers onto a filled ring,
-            // B hands control back to the scheduler.
-            let barrier = Barrier::new(workers + 1);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let ring_lock = &ring_lock;
-                    let cursors = &cursors;
-                    let barrier = &barrier;
-                    let done = &done;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        let mut round = 0usize;
-                        loop {
-                            barrier.wait();
-                            if done.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let ring = ring_lock.read().expect("ring lock");
-                            let len = ring.len();
-                            // Own segment first, then steal; victim order
-                            // is a function of (worker, round) only —
-                            // deterministic policy, and result-neutral
-                            // because every claim goes through the
-                            // segment cursors.
-                            for step in 0..workers {
-                                let v = (w + step + round) % workers;
-                                if step > 0 && v == w {
-                                    continue;
-                                }
-                                let v = if step == 0 { w } else { v };
-                                let end = (v + 1) * len / workers;
-                                loop {
-                                    let i = cursors[v].fetch_add(1, Ordering::Relaxed);
-                                    if i >= end {
-                                        break;
-                                    }
-                                    let r = ring[i];
-                                    execute(&r, &slots[r.stream as usize]);
-                                }
-                            }
-                            drop(ring);
-                            barrier.wait();
-                            round += 1;
-                        }
-                    });
-                }
-                loop {
-                    {
-                        let mut ring = ring_lock.write().expect("ring lock");
-                        sched.fill(&mut ring, &slots);
-                        if ring.is_empty() {
-                            done.store(true, Ordering::Release);
-                            barrier.wait();
-                            break;
-                        }
-                        let len = ring.len();
-                        for (v, cursor) in cursors.iter().enumerate() {
-                            cursor.store(v * len / workers, Ordering::Relaxed);
-                        }
-                    }
-                    barrier.wait();
-                    barrier.wait();
-                    let ring = ring_lock.read().expect("ring lock");
-                    sched.complete_round(&ring, &slots);
-                }
-            });
+            run_pooled(&mut sched, &mut ring);
         }
-
-        let mut summary = ElasticSummary {
-            per_stream: Vec::with_capacity(n),
-            run: RunSummary::default(),
-            stats: StreamStats::default(),
-            ledger: sched.ledger,
-        };
-        let mut drivers = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let slot = slot.into_inner().expect("slot lock");
-            let mut s = slot.cursor.summary();
-            // The cursor never saw scheduler queue depths; the shadow
-            // account supplies the admission-granular high-water mark.
-            s.stats.max_backlog = sched.streams[i].shadow.max_backlog;
-            summary.run.merge(&s.run);
-            summary.stats.merge(&s.stats);
-            summary.per_stream.push(s);
-            drivers.push(slot.driver);
-        }
-        (summary, drivers)
+        // Free the job buffers before the summary allocates: peak memory.
+        drop(ring);
+        sched.finish()
     }
 }
 
-/// Run one ready cycle: the hot path every worker executes.
-fn execute<D: CycleDriver>(r: &Ready, slot: &Mutex<Slot<D>>) {
-    let mut slot = slot.lock().expect("slot lock");
-    let summary = slot.driver.run_cycle(r.frame, r.start - r.arrival);
-    slot.cursor.absorb(r.arrival, r.start, &summary);
+/// A segment in transit between the scheduler and a worker: the
+/// worker's index, the jobs, and on the way back the failure met, if any.
+type Handoff<D> = (usize, Vec<Job<D>>, Option<(usize, String)>);
+
+/// The `W > 1` rounds: the caller's thread runs segment 0 while
+/// `W − 1` scoped threads, alive for the whole run, run the others, each
+/// segment sent over and back through channels with its buffer. One
+/// message type serves both directions, so each driver type
+/// instantiates the channel code once.
+fn run_pooled<A, D>(sched: &mut Scheduler<A, D>, ring: &mut Ring<D>)
+where
+    A: ArrivalSource,
+    D: CycleDriver + Send,
+{
+    let workers = ring.segments.len();
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = mpsc::channel::<Handoff<D>>();
+        let to_workers: Vec<mpsc::Sender<Handoff<D>>> = (1..workers)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<Handoff<D>>();
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    // Ends when the scheduler drops its sender.
+                    for (w, mut segment, _) in rx {
+                        let failure = run_jobs(&mut segment).err();
+                        if done_tx.send((w, segment, failure)).is_err() {
+                            break;
+                        }
+                    }
+                });
+                tx
+            })
+            .collect();
+        // Only the workers hold senders now: a worker lost outside
+        // `run_jobs` fails the receive below instead of hanging it.
+        drop(done_tx);
+        sched.drive(ring, |ring| {
+            for (w, tx) in (1..).zip(&to_workers) {
+                let segment = std::mem::take(&mut ring.segments[w]);
+                tx.send((w, segment, None))
+                    .expect("elastic workers live until the last round");
+            }
+            // Job `i` of segment `w` sits at ring position
+            // `i · workers + w`; the earliest failure in ring order is
+            // reported, whichever worker noticed first.
+            let mut failure = run_jobs(&mut ring.segments[0])
+                .err()
+                .map(|(i, m)| (i * workers, m));
+            for _ in 1..workers {
+                let (w, segment, outcome) = done_rx
+                    .recv()
+                    .expect("elastic workers report every segment");
+                ring.segments[w] = segment;
+                if let Some((i, message)) = outcome {
+                    let p = i * workers + w;
+                    if failure.as_ref().is_none_or(|(q, _)| p < *q) {
+                        failure = Some((p, message));
+                    }
+                }
+            }
+            failure
+        });
+        // Dropping the senders releases the workers.
+        drop(to_workers);
+    });
 }
 
 #[cfg(test)]
@@ -919,6 +1092,7 @@ mod tests {
     use crate::source::{Bursty, Jittered, PatternSource, Periodic};
     use crate::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
     use crate::system::{ParameterizedSystem, SystemBuilder};
+    use proptest::prelude::*;
 
     const PERIOD: Time = Time::from_ns(130);
 
@@ -1003,33 +1177,155 @@ mod tests {
         assert!(heap.is_empty());
     }
 
-    /// The sharded heap pops the same global order for every lane count —
-    /// the property that makes per-worker lanes compatible with the
-    /// determinism contract.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The radix queue pops exactly the sorted `(time, stream)` order
+        /// over random monotone push/pop/peek interleavings: equal times
+        /// across streams, repeated equal keys on one stream (bursts),
+        /// and times at both ends of the `Time` range. Each op is push
+        /// (0–1), pop (2) or peek (3); `gap` picks the pushed time's
+        /// distance above the floor.
+        #[test]
+        fn radix_queue_pops_in_sorted_order(
+            base in 0u8..4,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u8..5, 0u32..64, any::<u64>()),
+                0..400,
+            ),
+        ) {
+            let base = [i64::MIN, -1_000, 0, i64::MAX - (1 << 20)][base as usize];
+            let mut queue = RadixQueue::new();
+            let mut model: Vec<(Time, u32)> = Vec::new();
+            // The least key a push may carry: the last popped or peeked.
+            let mut floor = (Time::from_ns(base), 0u32);
+            for (op, gap, s, r) in ops {
+                match op {
+                    0 | 1 => {
+                        let t = floor.0.as_ns();
+                        let time = match gap {
+                            0 => t,
+                            1 => t.saturating_add((r % 8) as i64),
+                            2 => t.saturating_add((r % (1 << 40)) as i64),
+                            3 => t.saturating_add((r >> 1) as i64),
+                            _ => i64::MAX,
+                        };
+                        let stream = if time == t {
+                            // Same time: at or above the floor's stream
+                            // (`s % 4 == 0` repeats the floor's key).
+                            floor.1.saturating_add(s % 4)
+                        } else {
+                            s
+                        };
+                        let key = (Time::from_ns(time), stream);
+                        queue.push(key.0, key.1);
+                        model.push(key);
+                    }
+                    _ => {
+                        model.sort_unstable_by(|a, b| b.cmp(a));
+                        let want = model.last().copied();
+                        let got = if op == 2 {
+                            model.pop();
+                            queue.pop()
+                        } else {
+                            queue.peek()
+                        };
+                        prop_assert_eq!(got, want);
+                        if let Some(key) = got {
+                            floor = key;
+                        }
+                    }
+                }
+                prop_assert_eq!(queue.len, model.len());
+            }
+            model.sort_unstable();
+            let drained: Vec<(Time, u32)> = std::iter::from_fn(|| queue.pop()).collect();
+            prop_assert_eq!(drained, model);
+            prop_assert!(queue.storage() <= 2 * 400 + RADIX_BUCKETS * RADIX_SPARE);
+        }
+    }
+
     #[test]
-    fn sharded_heap_order_is_lane_count_independent() {
-        let events: Vec<(Time, u32)> = (0..64u32)
-            .map(|s| (Time::from_ns(((s * 37) % 19) as i64 * 10), s))
-            .collect();
-        let reference: Vec<(Time, u32)> = {
-            let mut h = ShardedEventHeap::new(1);
-            for &(t, s) in &events {
-                h.push(t, s);
-            }
-            std::iter::from_fn(move || h.pop_min()).collect()
-        };
-        let mut sorted = events.clone();
-        sorted.sort();
-        assert_eq!(reference, sorted);
-        for lanes in 2..=7 {
-            let mut h = ShardedEventHeap::new(lanes);
-            for &(t, s) in &events {
-                h.push(t, s);
-            }
-            assert_eq!(h.lanes(), lanes);
-            assert_eq!(h.len(), events.len());
-            let popped: Vec<(Time, u32)> = std::iter::from_fn(|| h.pop_min()).collect();
-            assert_eq!(popped, reference, "lanes = {lanes}");
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-monotone push")]
+    fn radix_queue_rejects_an_earlier_time() {
+        let mut queue = RadixQueue::new();
+        queue.push(Time::from_ns(10), 1);
+        queue.pop();
+        queue.push(Time::from_ns(9), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-monotone push")]
+    fn radix_queue_rejects_a_lower_stream_at_the_same_time() {
+        let mut queue = RadixQueue::new();
+        queue.push(Time::from_ns(10), 5);
+        assert_eq!(queue.peek(), Some((Time::from_ns(10), 5)));
+        queue.push(Time::from_ns(10), 4);
+    }
+
+    /// A driver that panics on stream 3's cycle 1.
+    struct Faulty<D> {
+        inner: D,
+        stream: usize,
+    }
+
+    impl<D: CycleDriver> CycleDriver for Faulty<D> {
+        fn run_cycle(&mut self, cycle: usize, start: Time) -> CycleSummary {
+            assert!(!(self.stream == 3 && cycle == 1), "injected fault");
+            self.inner.run_cycle(cycle, start)
+        }
+    }
+
+    /// A panicking driver stops the run at every worker count, and the
+    /// re-raised panic names the stream and frame. The run goes on its
+    /// own thread so that a hang fails the test instead of stalling it.
+    #[test]
+    fn a_panicking_driver_is_reraised_naming_its_stream() {
+        for workers in [1usize, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let s = sys();
+                let p = MixedPolicy::new(&s);
+                let streams: Vec<_> = (0..8)
+                    .map(|i| {
+                        (
+                            Periodic::new(PERIOD, 4),
+                            Faulty {
+                                inner: EngineDriver::new(
+                                    Engine::new(
+                                        &s,
+                                        NumericManager::new(&s, &p),
+                                        OverheadModel::ZERO,
+                                    ),
+                                    ConstantExec::average(s.table()),
+                                    NullSink,
+                                ),
+                                stream: i,
+                            },
+                        )
+                    })
+                    .collect();
+                let runner =
+                    ElasticRunner::new(workers, ElasticConfig::live().with_ring_capacity(4));
+                let outcome = catch_unwind(AssertUnwindSafe(|| runner.run(streams)));
+                let message = match outcome {
+                    Ok(_) => "the run returned".to_string(),
+                    Err(payload) => panic_message(payload),
+                };
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("workers={workers}: the run hung"));
+            run.join().expect("the run's panic was caught");
+            assert!(message.contains("stream 3"), "workers={workers}: {message}");
+            assert!(message.contains("frame 1"), "workers={workers}: {message}");
+            assert!(
+                message.contains("injected fault"),
+                "workers={workers}: {message}"
+            );
         }
     }
 
@@ -1046,7 +1342,7 @@ mod tests {
                 Admission::Unbounded,
                 Admission::DropNewest { global_capacity: 3 },
             ] {
-                for ring in [3usize, 256] {
+                for ring in [1usize, 2, 3, 256] {
                     let config = ElasticConfig::live()
                         .with_chaining(chaining)
                         .with_ring_capacity(ring)
@@ -1075,10 +1371,13 @@ mod tests {
     fn unbounded_matches_streaming_runner_per_stream() {
         let s = sys();
         let p = MixedPolicy::new(&s);
-        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+        for (chaining, ring) in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped]
+            .into_iter()
+            .flat_map(|c| (1..=5).map(move |r| (c, r)))
+        {
             let config = ElasticConfig::live()
                 .with_chaining(chaining)
-                .with_ring_capacity(4);
+                .with_ring_capacity(ring);
             let (elastic, _) = ElasticRunner::new(3, config).run(drivers(&s, &p, 9, 10));
             for (i, got) in elastic.per_stream().iter().enumerate() {
                 let runner = StreamingRunner::new(StreamConfig {
@@ -1096,7 +1395,7 @@ mod tests {
                     &mut exec_for(&s, i as u64),
                     &mut NullSink,
                 );
-                assert_eq!(*got, want, "stream {i} {chaining:?}");
+                assert_eq!(*got, want, "stream {i} {chaining:?} ring {ring}");
             }
         }
     }
@@ -1141,27 +1440,35 @@ mod tests {
                 })
                 .collect()
         };
-        let config = ElasticConfig::live()
-            .with_admission(Admission::DropNewest { global_capacity: 4 })
-            .with_ring_capacity(8);
-        let (out, _) = ElasticRunner::new(1, config).run(build());
-        let ledger = *out.ledger();
-        assert_eq!(ledger.arrived, 6 * frames);
-        assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
-        assert!(ledger.shed > 0, "4x overload must shed: {ledger:?}");
-        assert!(ledger.peak_backlog <= 4, "capacity bound: {ledger:?}");
-        assert!(ledger.rounds > 1, "tiny ring forces many rounds");
-        assert_eq!(out.stats().arrived, ledger.arrived);
-        assert_eq!(out.stats().dropped, ledger.shed);
-        assert_eq!(out.stats().processed, ledger.admitted);
-        // The prompt stream is untouched by everyone else's overload.
-        let prompt = out.stream(5);
-        assert_eq!(prompt.stats.dropped, 0, "prompt stream never shed");
-        assert_eq!(prompt.stats.processed, frames);
-        // Deterministic across worker counts (also covered broadly by
-        // `worker_counts_are_byte_identical`).
-        let (again, _) = ElasticRunner::new(4, config).run(build());
-        assert_eq!(again, out);
+        // Admission is round-granular, so the exact books pin the event
+        // order, rings 1 and 2 at the ring-full boundary included:
+        // `(ring, admitted, shed, rounds)`.
+        for (ring, admitted, shed, rounds) in [(1, 91, 53, 91), (2, 91, 53, 57), (8, 90, 54, 37)] {
+            let config = ElasticConfig::live()
+                .with_admission(Admission::DropNewest { global_capacity: 4 })
+                .with_ring_capacity(ring);
+            let (out, _) = ElasticRunner::new(1, config).run(build());
+            let ledger = *out.ledger();
+            assert_eq!(
+                (ledger.admitted, ledger.shed, ledger.rounds),
+                (admitted, shed, rounds),
+                "ring {ring}"
+            );
+            assert_eq!(ledger.arrived, 6 * frames);
+            assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
+            assert!(ledger.peak_backlog <= 4, "capacity bound: {ledger:?}");
+            assert_eq!(out.stats().arrived, ledger.arrived);
+            assert_eq!(out.stats().dropped, ledger.shed);
+            assert_eq!(out.stats().processed, ledger.admitted);
+            // The prompt stream is untouched by everyone else's overload.
+            let prompt = out.stream(5);
+            assert_eq!(prompt.stats.dropped, 0, "prompt stream never shed");
+            assert_eq!(prompt.stats.processed, frames);
+            // Deterministic across worker counts (also covered broadly by
+            // `worker_counts_are_byte_identical`).
+            let (again, _) = ElasticRunner::new(4, config).run(build());
+            assert_eq!(again, out);
+        }
     }
 
     /// A ring of capacity 1 degenerates to one cycle per round and still

@@ -441,7 +441,7 @@ impl FleetRunner {
 /// Best-effort extraction of a panic payload's message (`panic!` with a
 /// string literal or a formatted `String` — anything else keeps a
 /// placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {

@@ -59,13 +59,14 @@
 //!    variants.
 //! 10. **Elastic fleet** — [`elastic`]: per-cycle scheduling of very many
 //!     *live* streams onto few workers. A serial deterministic event loop
-//!     over sharded arrival heaps ([`elastic::ShardedEventHeap`]) and a
-//!     start-event heap admits or sheds frames fleet-wide
+//!     over a monotone radix arrival queue and a start-event heap
+//!     ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
 //!     ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
-//!     fixed-capacity ready ring; workers drain the ring with
-//!     deterministic stealing. Results are byte-identical for every
-//!     worker count, and per-stream identical to [`stream`]'s runner
-//!     under unbounded admission.
+//!     fixed-capacity ready ring whose jobs carry their streams' drivers
+//!     by value; each worker runs an owned segment of the ring, with no
+//!     lock per stream. Results are byte-identical for every worker
+//!     count, and per-stream identical to [`stream`]'s runner under
+//!     unbounded admission.
 //!
 //! The engine seam — how 6–8 fit together: a
 //! [`manager::QualityManager`] makes the decisions, an
@@ -142,7 +143,7 @@ pub mod prelude {
     };
     pub use crate::elastic::{
         Admission, CycleDriver, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver,
-        EventHeap, ShardedEventHeap, ShedLedger,
+        EventHeap, ShedLedger,
     };
     pub use crate::engine::{
         CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, TraceSink,
