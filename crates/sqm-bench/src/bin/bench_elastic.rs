@@ -3,12 +3,17 @@
 //!
 //! Where `bench_fleet` shards whole streams over workers, this measures
 //! `sqm_core::elastic` interleaving **100,000 tiny live streams** per
-//! cycle: a monotone radix arrival queue, a fixed-capacity ready ring
-//! dealt to per-worker segments, and fleet-wide admission. Reported
-//! per worker count (1/2/4/8): host wall-clock (median of 5),
-//! streams/sec and ns/action — machine-dependent numbers (track deltas,
-//! not absolutes; on a single-core container extra workers only add
-//! scheduling overhead).
+//! cycle: a time-keyed radix arrival queue, 64-byte hot stream
+//! records beside cold source / cursor / driver columns, one node slab
+//! for every per-stream queue, a fixed-capacity ready ring dealt to
+//! per-worker segments, and fleet-wide admission. The serial
+//! `StreamingRunner` fold the results must equal is timed too (median
+//! of 5, `serial_fold_ns_per_action`). Reported per worker count
+//! (1/2/4/8): host wall-clock (median of 5), streams/sec, ns/action and
+//! the `premium` — elastic ns/action over the fold's, the scheduler's
+//! cost above running each stream alone. Host numbers are
+//! machine-dependent (track deltas, not absolutes; on a single-core
+//! container extra workers only add scheduling overhead).
 //!
 //! Correctness gates run before anything is published, and a failed gate
 //! aborts without writing the artifact:
@@ -63,6 +68,15 @@ fn main() {
     println!("identity check: elastic(1 worker) == serial streaming fold ✓");
 
     let actions = reference.run().actions;
+    let fold_ns = median_of_5(|| {
+        let t0 = Instant::now();
+        let out = exp.serial_reference(config);
+        let ns = t0.elapsed().as_nanos() as f64;
+        assert_eq!(out, serial, "the serial fold diverged mid-measurement");
+        ns
+    });
+    let fold_ns_per_action = fold_ns / actions as f64;
+    println!("serial fold: host {fold_ns:.0} ns (median of 5), {fold_ns_per_action:.1} ns/action");
     let mut entries = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         // Warm-up run doubles as the byte-identity gate for this count.
@@ -83,9 +97,11 @@ fn main() {
         });
         let streams_per_sec = streams as f64 / (host_ns / 1e9);
         let ns_per_action = host_ns / actions as f64;
+        let premium = ns_per_action / fold_ns_per_action;
         println!(
             "workers {workers}: host {host_ns:.0} ns (median of 5), \
-             {streams_per_sec:.0} streams/sec, {ns_per_action:.1} ns/action",
+             {streams_per_sec:.0} streams/sec, {ns_per_action:.1} ns/action, \
+             premium {premium:.2}x over the serial fold",
         );
         entries.push(format!(
             concat!(
@@ -93,10 +109,11 @@ fn main() {
                 "      \"workers\": {},\n",
                 "      \"host_wall_ns\": {:.0},\n",
                 "      \"streams_per_sec\": {:.0},\n",
-                "      \"ns_per_action\": {:.2}\n",
+                "      \"ns_per_action\": {:.2},\n",
+                "      \"premium\": {:.2}\n",
                 "    }}"
             ),
-            workers, host_ns, streams_per_sec, ns_per_action,
+            workers, host_ns, streams_per_sec, ns_per_action, premium,
         ));
     }
 
@@ -127,11 +144,12 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"speed-qm/bench-elastic/v1\",\n",
+            "  \"schema\": \"speed-qm/bench-elastic/v2\",\n",
             "  \"config\": \"ElasticExperiment::micro({}, {}): {} live micro streams x {} frames, ring 4096, unbounded admission\",\n",
-            "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes); results are byte-identical across worker counts by construction\",\n",
+            "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes); results are byte-identical across worker counts by construction; premium = ns_per_action / serial_fold_ns_per_action\",\n",
             "  \"workers_byte_identical_to_one_worker\": true,\n",
             "  \"one_worker_matches_serial_streaming_fold\": true,\n",
+            "  \"serial_fold_ns_per_action\": {:.2},\n",
             "  \"aggregate\": {{\n",
             "    \"streams\": {},\n",
             "    \"frames\": {},\n",
@@ -157,6 +175,7 @@ fn main() {
         frames,
         streams,
         frames,
+        fold_ns_per_action,
         reference.n_streams(),
         exp.total_frames(),
         reference.run().cycles,

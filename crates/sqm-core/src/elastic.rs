@@ -6,22 +6,28 @@
 //! live deployment has many mostly-idle streams whose cycles *interleave*
 //! in time. This module schedules at cycle granularity:
 //!
-//! * a **monotone radix queue** of arrival events keyed by `(time,
-//!   stream)` — each stream's next virtual arrival, obtained without
-//!   consumption via [`ArrivalSource::peek`]. Every key pushed is at least
-//!   the key last popped (a stream's next arrival never precedes its
-//!   current one), which is all a radix queue needs;
+//! * a **monotone radix queue** of arrival events — each stream's next
+//!   virtual arrival, obtained without consumption via
+//!   [`ArrivalSource::peek`] — bucketed on time alone and popped in exact
+//!   `(time, stream)` order. Every key pushed is at least the key last
+//!   popped (a stream's next arrival never precedes its current one),
+//!   which is all a radix queue needs;
 //! * a **start-event heap** ([`EventHeap`]) keyed by the absolute start
 //!   time of each stream's next queued cycle. A frame that finds its
 //!   stream idle and may start at its arrival skips the heap: that start
 //!   is the global minimum, so the next iteration would pop it anyway;
 //! * a fixed-capacity **ready ring**: each scheduling round drains due
-//!   events into at most [`ElasticConfig::ring_capacity`] jobs. The
-//!   scheduler owns one record per stream (source, [`StreamCursor`],
-//!   queue, backlog account, driver); a job carries its stream's driver
-//!   out **by value** and brings it back with the cycle's
-//!   [`CycleSummary`], which the scheduler folds into the cursor when the
-//!   round completes;
+//!   events into at most [`ElasticConfig::ring_capacity`] jobs. A job
+//!   carries its stream's driver out **by value** and brings it back with
+//!   the cycle's [`CycleSummary`], which the scheduler folds into the
+//!   stream's [`StreamCursor`] when the round completes;
+//! * **per-stream state split by temperature**: everything an event reads
+//!   (timestamp clamp, stream clock, frame index, queue heads, backlog
+//!   counters, in-flight flag) sits in one 64-byte record per stream;
+//!   sources, cursors and drivers each have a column of their own, read
+//!   only by the event that needs them. Every stream's queue of admitted
+//!   frames and of completions lives in **one shared, free-listed node
+//!   slab**, so a steady population stops allocating;
 //! * **owned segments on persistent workers**: with `W > 1` workers the
 //!   ring is dealt round-robin into `W` segments; the caller's thread runs
 //!   segment 0 and `W − 1` scoped threads, alive for the whole run, run
@@ -92,9 +98,8 @@ use crate::engine::{CycleChaining, CycleSummary, Engine, RunSummary, TraceSink};
 use crate::fleet::panic_message;
 use crate::manager::QualityManager;
 use crate::source::ArrivalSource;
-use crate::stream::{StreamCursor, StreamStats, StreamSummary};
+use crate::stream::{chained_start, StreamCursor, StreamStats, StreamSummary};
 use crate::time::Time;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 
@@ -191,33 +196,55 @@ impl EventHeap {
 
 /// A monotone radix queue of `(time, stream)` events: the arrival queue.
 ///
-/// Keys pack into one `u128` (`time` with its sign bit flipped, so the
-/// unsigned order is the signed one, above the `u32` stream id), and a
-/// key lives in bucket `b` when its highest bit differing from `last` —
-/// the minimum last popped or peeked — is bit `b − 1`; bucket 0 holds
-/// keys equal to `last`. Pushes must not undercut `last` (checked in
-/// debug builds). The arrival loop meets that by construction: a stream
-/// re-keys only right after its own event popped, on a timestamp clamped
-/// to at least that event's. Pop order is then the exact sorted key
-/// order, ties on time broken by stream id.
+/// Buckets are keyed on **time alone** (the `i64` with its sign bit
+/// flipped, so the unsigned order is the signed one). Bucket 0 holds the
+/// entries at `last` — the time of the minimum last popped or peeked —
+/// in descending stream order, so the minimum is at the back; bucket
+/// `b ≥ 1` holds the entries whose highest time bit differing from
+/// `last` is bit `b − 1`. Pushes must not undercut the `(time, stream)`
+/// minimum last popped or peeked (checked in debug builds). The arrival
+/// loop meets that by construction: a stream re-keys only right after
+/// its own event popped, on a timestamp clamped to at least that
+/// event's. Pop order is then the exact sorted `(time, stream)` order.
 ///
-/// A push is `O(1)`; a pop that finds bucket 0 empty redistributes the
-/// first occupied bucket, each key moving to a strictly lower bucket, so
-/// a key moves at most 128 times over its life. An emptied bucket keeps
-/// its storage only while all buckets together hold at most twice the
-/// live count (small buckets always keep theirs), so the storage held
+/// A push is `O(1)`. A push at time `last` comes from the stream just
+/// popped (a burst), which is below every entry left in bucket 0, so it
+/// joins the back and keeps the order; any other push there marks bucket
+/// 0 for one re-sort before the next pop. A pop that finds bucket 0 empty
+/// redistributes the first occupied bucket — each entry moves to a
+/// strictly lower bucket, so at most 64 times over its life — and sorts
+/// the entries landing in bucket 0 by stream once. Streams sharing a
+/// timestamp therefore never re-sort through their ids. An emptied bucket
+/// keeps its storage only while all buckets together hold at most twice
+/// the live count (small buckets always keep theirs), so the storage held
 /// stays `O(live events)` and a steady population stops allocating.
 #[derive(Debug)]
 struct RadixQueue {
-    buckets: Vec<Vec<u128>>,
-    /// Bit `b` set iff bucket `b` is non-empty.
-    occupied: [u64; 3],
-    last: u128,
+    buckets: Vec<Vec<Arrival>>,
+    /// Bit `b − 1` set iff bucket `b ≥ 1` is non-empty.
+    occupied: u64,
+    last: u64,
+    /// Bucket 0 is in descending stream order.
+    sorted: bool,
+    /// The least entry a push may carry: the minimum last popped or
+    /// peeked.
+    floor: Arrival,
     len: usize,
+    /// Entries the buckets can hold without growing (the sum of their
+    /// capacities), kept up to date as they grow and shrink.
+    storage: usize,
 }
 
-/// Buckets: one per possible highest differing bit of a `u128`, plus 0.
-const RADIX_BUCKETS: usize = 129;
+/// One queued arrival event: a radix time key and its stream, ordered
+/// as `(time, stream)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Arrival {
+    time: u64,
+    stream: u32,
+}
+
+/// Buckets: one per possible highest differing bit of a `u64`, plus 0.
+const RADIX_BUCKETS: usize = 65;
 
 /// Emptied buckets up to this capacity always keep their storage.
 const RADIX_SPARE: usize = 256;
@@ -226,66 +253,87 @@ impl RadixQueue {
     fn new() -> RadixQueue {
         RadixQueue {
             buckets: vec![Vec::new(); RADIX_BUCKETS],
-            occupied: [0; 3],
+            occupied: 0,
             last: 0,
+            sorted: true,
+            floor: Arrival { time: 0, stream: 0 },
             len: 0,
+            storage: 0,
         }
     }
 
-    fn key(time: Time, stream: u32) -> u128 {
-        let t = (time.as_ns() as u64) ^ (1 << 63);
-        (u128::from(t) << 32) | u128::from(stream)
+    fn key(time: Time) -> u64 {
+        (time.as_ns() as u64) ^ (1 << 63)
     }
 
-    fn unkey(key: u128) -> (Time, u32) {
-        let t = ((key >> 32) as u64 ^ (1 << 63)) as i64;
-        (Time::from_ns(t), key as u32)
+    fn unkey(entry: Arrival) -> (Time, u32) {
+        (Time::from_ns((entry.time ^ (1 << 63)) as i64), entry.stream)
     }
 
-    fn bucket_of(&self, key: u128) -> usize {
-        (128 - (key ^ self.last).leading_zeros()) as usize
-    }
-
-    /// Keys the buckets can hold without growing.
-    fn storage(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum()
-    }
-
-    fn insert(&mut self, key: u128) {
-        let b = self.bucket_of(key);
-        self.buckets[b].push(key);
-        self.occupied[b / 64] |= 1 << (b % 64);
+    fn insert(&mut self, entry: Arrival) {
+        let b = (64 - (entry.time ^ self.last).leading_zeros()) as usize;
+        let bucket = &mut self.buckets[b];
+        let capacity = bucket.capacity();
+        bucket.push(entry);
+        self.storage += bucket.capacity() - capacity;
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
     }
 
     fn push(&mut self, time: Time, stream: u32) {
-        let key = RadixQueue::key(time, stream);
+        let entry = Arrival {
+            time: RadixQueue::key(time),
+            stream,
+        };
         debug_assert!(
-            key >= self.last,
+            entry >= self.floor,
             "non-monotone push {:?} below {:?}",
             (time, stream),
-            RadixQueue::unkey(self.last)
+            RadixQueue::unkey(self.floor)
         );
-        self.insert(key);
+        if entry.time == self.last && self.buckets[0].last().is_some_and(|e| e.stream < stream) {
+            self.sorted = false;
+        }
+        self.insert(entry);
         self.len += 1;
     }
 
-    /// Move the minimum into bucket 0 (making it `last`) and return it.
-    fn settle(&mut self) -> Option<u128> {
-        if self.occupied[0] & 1 == 0 {
-            let (word, bits) = self.occupied.iter().enumerate().find(|(_, w)| **w != 0)?;
-            let b = word * 64 + bits.trailing_zeros() as usize;
-            self.occupied[word] &= !(1 << (b % 64));
-            let mut keys = std::mem::take(&mut self.buckets[b]);
-            self.last = *keys.iter().min().expect("occupied bucket");
-            for &key in &keys {
-                self.insert(key);
+    /// Bring the minimum to the back of bucket 0 and return it.
+    fn settle(&mut self) -> Option<Arrival> {
+        if self.buckets[0].is_empty() {
+            if self.occupied == 0 {
+                return None;
             }
-            keys.clear();
-            if keys.capacity() <= RADIX_SPARE || self.storage() + keys.capacity() <= 2 * self.len {
-                self.buckets[b] = keys;
+            let b = self.occupied.trailing_zeros() as usize + 1;
+            self.occupied &= self.occupied - 1;
+            let mut entries = std::mem::take(&mut self.buckets[b]);
+            self.storage -= entries.capacity();
+            self.last = entries
+                .iter()
+                .map(|e| e.time)
+                .min()
+                .expect("occupied bucket");
+            for &entry in &entries {
+                self.insert(entry);
             }
+            entries.clear();
+            if entries.capacity() <= RADIX_SPARE
+                || self.storage + entries.capacity() <= 2 * self.len
+            {
+                self.storage += entries.capacity();
+                self.buckets[b] = entries;
+            }
+            self.sorted = false;
         }
-        Some(self.last)
+        let zero = &mut self.buckets[0];
+        if !self.sorted {
+            zero.sort_unstable_by_key(|e| std::cmp::Reverse(e.stream));
+            self.sorted = true;
+        }
+        let min = *zero.last().expect("bucket 0 is occupied");
+        self.floor = min;
+        Some(min)
     }
 
     /// The minimum event, without removing it.
@@ -295,14 +343,10 @@ impl RadixQueue {
 
     /// Remove and return the minimum event.
     fn pop(&mut self) -> Option<(Time, u32)> {
-        let key = self.settle()?;
-        let zero = &mut self.buckets[0];
-        zero.pop();
-        if zero.is_empty() {
-            self.occupied[0] &= !1;
-        }
+        let min = self.settle()?;
+        self.buckets[0].pop();
         self.len -= 1;
-        Some(RadixQueue::unkey(key))
+        Some(RadixQueue::unkey(min))
     }
 }
 
@@ -492,37 +536,115 @@ impl ElasticSummary {
     }
 }
 
-/// A FIFO that keeps its first element inline and spills to a
-/// `VecDeque` only at depth ≥ 2, so a stream that keeps up never
-/// allocates.
-#[derive(Clone, Debug, Default)]
-struct SmallQueue<T> {
-    /// The front element; `None` only when the queue is empty.
-    head: Option<T>,
-    tail: VecDeque<T>,
+/// The end-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: an admitted frame in its stream's queue (`frame`,
+/// arrival `time`, `counted`), or a completion `time` in a shadow
+/// account's queue.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    time: Time,
+    frame: usize,
+    next: u32,
+    /// Charged to the global backlog at admission.
+    counted: bool,
 }
 
-impl<T: Copy> SmallQueue<T> {
-    fn front(&self) -> Option<&T> {
-        self.head.as_ref()
+impl Node {
+    fn completion(time: Time) -> Node {
+        Node {
+            time,
+            frame: 0,
+            next: NIL,
+            counted: false,
+        }
     }
+}
 
-    fn is_empty(&self) -> bool {
-        self.head.is_none()
+/// A FIFO threaded through the [`Slab`]: head and tail links.
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
     }
+}
 
-    fn push_back(&mut self, value: T) {
-        if self.head.is_none() {
-            self.head = Some(value);
-        } else {
-            self.tail.push_back(value);
+/// One node store for every stream's FIFOs, with a free list: a freed
+/// node is the next one handed out, so the slab holds no more nodes than
+/// were ever live at once, and a steady population stops allocating.
+#[derive(Debug)]
+struct Slab {
+    nodes: Vec<Node>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl Slab {
+    fn new() -> Slab {
+        Slab {
+            nodes: Vec::new(),
+            free: NIL,
         }
     }
 
-    fn pop_front(&mut self) -> Option<T> {
-        let head = self.head.take();
-        self.head = self.tail.pop_front();
-        head
+    fn front(&self, list: List) -> Option<&Node> {
+        (!list.is_empty()).then(|| &self.nodes[list.head as usize])
+    }
+
+    fn push_back(&mut self, list: &mut List, node: Node) {
+        let node = Node { next: NIL, ..node };
+        let i = if self.free == NIL {
+            let i = self.nodes.len();
+            assert!(
+                i < NIL as usize,
+                "slab links are u32: at most {NIL} live entries"
+            );
+            self.nodes.push(node);
+            i as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        if list.is_empty() {
+            list.head = i;
+        } else {
+            self.nodes[list.tail as usize].next = i;
+        }
+        list.tail = i;
+    }
+
+    fn pop_front(&mut self, list: &mut List) -> Option<Node> {
+        let i = list.head;
+        let node = *self.front(*list)?;
+        list.head = node.next;
+        if list.is_empty() {
+            list.tail = NIL;
+        }
+        self.nodes[i as usize].next = self.free;
+        self.free = i;
+        Some(node)
+    }
+
+    /// Free a whole list at once.
+    fn release(&mut self, list: &mut List) {
+        if !list.is_empty() {
+            self.nodes[list.tail as usize].next = self.free;
+            self.free = list.head;
+            *list = List::EMPTY;
+        }
     }
 }
 
@@ -544,62 +666,76 @@ impl<T: Copy> SmallQueue<T> {
 /// cannot finish before it is admitted, so exactly `j` completions are
 /// visible at that moment. Both feeds are monotone, so consumed
 /// completions never need revisiting.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct ShadowBacklog {
     /// Completion times recorded but not yet passed by a classified
-    /// arrival.
-    comps: SmallQueue<Time>,
-    /// Completions consumed, i.e. `#{completions < a_j}` for the last
-    /// classified arrival.
-    consumed: usize,
-    /// Arrivals classified so far.
-    classified: usize,
+    /// arrival, in the slab.
+    comps: List,
+    /// Arrivals classified minus completions consumed: the depth the
+    /// next classified arrival sees before its own completion prefix is
+    /// consumed.
+    behind: usize,
     /// High-water mark of the classified depths.
     max_backlog: usize,
 }
 
 impl ShadowBacklog {
-    /// Record the completion of the stream's next admitted frame.
-    fn on_complete(&mut self, completion: Time) {
-        self.comps.push_back(completion);
-    }
+    const NEW: ShadowBacklog = ShadowBacklog {
+        comps: List::EMPTY,
+        behind: 0,
+        max_backlog: 0,
+    };
 
     /// Classify the stream's next admitted arrival (see the type docs
     /// for when its completion prefix is known).
-    fn classify(&mut self, arrival: Time) {
-        while self.comps.front().is_some_and(|&c| c < arrival) {
-            self.comps.pop_front();
-            self.consumed += 1;
+    fn classify(&mut self, slab: &mut Slab, arrival: Time) {
+        while slab.front(self.comps).is_some_and(|c| c.time < arrival) {
+            slab.pop_front(&mut self.comps);
+            self.behind -= 1;
         }
-        self.max_backlog = self.max_backlog.max(self.classified - self.consumed);
-        self.classified += 1;
+        self.max_backlog = self.max_backlog.max(self.behind);
+        self.behind += 1;
+    }
+
+    /// Record the completion of the stream's next admitted frame.
+    fn on_complete(&mut self, slab: &mut Slab, completion: Time) {
+        slab.push_back(&mut self.comps, Node::completion(completion));
     }
 }
 
-/// Everything the scheduler keeps about one stream, in one record.
-struct Stream<A, D> {
-    source: A,
+/// What the event loop touches about a stream on every event, in a cache
+/// line's worth of bytes. The colder state — source, [`StreamCursor`],
+/// driver — lives in the scheduler's per-stream columns. The record is
+/// not over-aligned: an over-aligned column goes through the allocator's
+/// aligned path, whose split-off fragments made serve-shed's peak RSS
+/// grow with run length.
+#[derive(Clone, Copy, Debug)]
+struct Hot {
     /// Monotonicity clamp for source timestamps (same contract as
     /// `StreamingRunner`).
     floor: Time,
+    /// The stream clock: the [`StreamCursor`]'s `now`, kept here so a
+    /// start time never reads the cursor.
+    clock: Time,
     /// Next frame index; shed frames consume theirs.
     next_frame: usize,
-    /// Admitted frames not yet started: `(frame, arrival, counted)`,
-    /// where `counted` records whether the frame was charged to the
-    /// global backlog at admission.
-    queue: SmallQueue<(usize, Time, bool)>,
-    cursor: StreamCursor,
+    /// Admitted frames not yet started, in the slab.
+    queue: List,
     /// Admission-granular backlog account (see [`ShadowBacklog`]).
     shadow: ShadowBacklog,
-    /// The stream's driver; `None` while it is out in the round's ring,
-    /// which is what "a cycle of this stream is in flight" means.
-    driver: Option<D>,
+    /// A cycle of this stream is out in the round's ring (its driver
+    /// with it).
+    in_flight: bool,
+    /// The source has no arrival left.
+    drained: bool,
 }
 
-impl<A, D> Stream<A, D> {
+const _: () = assert!(std::mem::size_of::<Hot>() == 64);
+
+impl Hot {
     /// Nothing in flight and nothing queued.
     fn idle(&self) -> bool {
-        self.driver.is_some() && self.queue.is_empty()
+        !self.in_flight && self.queue.is_empty()
     }
 }
 
@@ -660,14 +796,24 @@ impl<D> Ring<D> {
     }
 }
 
-/// The serial deterministic scheduling core: owns the stream records,
+/// The serial deterministic scheduling core: owns the per-stream state,
 /// the event queues and the ledger; fills the ring each round and folds
 /// completed jobs back in between rounds. Never sees the worker count.
+///
+/// Per-stream state is split by temperature: `hot` holds 64 bytes per
+/// stream with everything an event reads, and the colder `sources`,
+/// `cursors` and `drivers` columns are touched only by the event that
+/// needs them. Every per-stream FIFO lives in the one `slab`.
 struct Scheduler<A, D> {
     chaining: CycleChaining,
     admission: Admission,
     ring_capacity: usize,
-    streams: Vec<Stream<A, D>>,
+    hot: Vec<Hot>,
+    sources: Vec<A>,
+    cursors: Vec<StreamCursor>,
+    /// A stream's driver; `None` while it is out in the round's ring.
+    drivers: Vec<Option<D>>,
+    slab: Slab,
     start_heap: EventHeap,
     arrivals: RadixQueue,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
@@ -681,28 +827,42 @@ struct Scheduler<A, D> {
 
 impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
     fn new(config: ElasticConfig, population: Vec<(A, D)>) -> Scheduler<A, D> {
+        let n = population.len();
         let mut arrivals = RadixQueue::new();
-        let mut streams = Vec::with_capacity(population.len());
-        for (i, (mut source, driver)) in population.into_iter().enumerate() {
-            let floor = Time::ZERO;
-            if let Some(t) = source.peek() {
-                arrivals.push(t.max(floor), i as u32);
-            }
-            streams.push(Stream {
-                source,
-                floor,
-                next_frame: 0,
-                queue: SmallQueue::default(),
-                cursor: StreamCursor::new(),
-                shadow: ShadowBacklog::default(),
-                driver: Some(driver),
-            });
-        }
+        let mut hot = Vec::with_capacity(n);
+        let mut drivers = Vec::with_capacity(n);
+        // Collected from the population, the source column can reuse its
+        // buffer in place.
+        let sources = population
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut source, driver))| {
+                let first = source.peek();
+                if let Some(t) = first {
+                    arrivals.push(t.max(Time::ZERO), i as u32);
+                }
+                hot.push(Hot {
+                    floor: Time::ZERO,
+                    clock: Time::ZERO,
+                    next_frame: 0,
+                    queue: List::EMPTY,
+                    shadow: ShadowBacklog::NEW,
+                    in_flight: false,
+                    drained: first.is_none(),
+                });
+                drivers.push(Some(driver));
+                source
+            })
+            .collect();
         Scheduler {
             chaining: config.chaining,
             admission: config.admission,
             ring_capacity: config.ring_capacity.max(1),
-            streams,
+            hot,
+            sources,
+            cursors: vec![StreamCursor::new(); n],
+            drivers,
+            slab: Slab::new(),
             start_heap: EventHeap::new(),
             arrivals,
             horizon: Time::NEG_INF,
@@ -734,14 +894,14 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
             };
             if take_start {
                 let (ts, s) = self.start_heap.pop().expect("peeked");
-                let (frame, arrival, counted) = self.streams[s as usize]
-                    .queue
-                    .pop_front()
+                let node = self
+                    .slab
+                    .pop_front(&mut self.hot[s as usize].queue)
                     .expect("a start event implies a queued frame");
-                if counted {
+                if node.counted {
                     self.backlog -= 1;
                 }
-                self.begin(s, frame, arrival, ts, ring);
+                self.begin(s, node.frame, node.time, ts, ring);
             } else if arrival_due {
                 let (ta, s) = self.arrivals.pop().expect("peeked");
                 self.process_arrival(ta, s, ring);
@@ -753,10 +913,10 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
 
     /// Commit stream `s`'s frame to the ring, starting at `start`.
     fn begin(&mut self, s: u32, frame: usize, arrival: Time, start: Time, ring: &mut Ring<D>) {
-        let driver = self.streams[s as usize]
-            .driver
+        let driver = self.drivers[s as usize]
             .take()
             .expect("a stream has at most one cycle per round");
+        self.hot[s as usize].in_flight = true;
         ring.push(Job {
             stream: s,
             frame,
@@ -771,13 +931,14 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
     /// Judge stream `s`'s arrival at `ta` — shed it, queue it, or start
     /// it — and re-key the stream on its next arrival.
     fn process_arrival(&mut self, ta: Time, s: u32, ring: &mut Ring<D>) {
-        let st = &mut self.streams[s as usize];
+        let st = &mut self.hot[s as usize];
         let frame = st.next_frame;
         st.next_frame += 1;
         self.ledger.arrived += 1;
-        st.cursor.note_arrival();
         // A frame counts toward the global backlog iff its stream is
-        // already behind; only counted frames are ever shed.
+        // already behind; only counted frames are ever shed. A shed frame
+        // is booked once, in `finish`, from the frame and processed
+        // counts.
         let counted = !st.idle();
         let shed = match self.admission {
             Admission::Unbounded => false,
@@ -786,13 +947,18 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
         let mut bypass = None;
         if shed {
             self.ledger.shed += 1;
-            st.cursor.note_drop();
         } else {
             self.ledger.admitted += 1;
+            let node = Node {
+                time: ta,
+                frame,
+                next: NIL,
+                counted,
+            };
             if counted {
                 self.backlog += 1;
                 self.ledger.peak_backlog = self.ledger.peak_backlog.max(self.backlog);
-                st.queue.push_back((frame, ta, true));
+                self.slab.push_back(&mut st.queue, node);
             } else {
                 // Idle: every earlier frame is done, so the arrival is
                 // classifiable now. A start at or before `ta` is below
@@ -801,27 +967,28 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
                 // still has the room it had when this arrival was taken:
                 // the next iteration would pop the start, so it goes
                 // straight into the ring.
-                st.shadow.classify(ta);
-                let start = st.cursor.start_for(self.chaining, ta);
+                st.shadow.classify(&mut self.slab, ta);
+                let start = chained_start(self.chaining, st.clock, ta);
                 if start <= ta {
                     bypass = Some(start);
                 } else {
-                    st.queue.push_back((frame, ta, false));
+                    self.slab.push_back(&mut st.queue, node);
                     self.start_heap.push(start, s);
                 }
             }
         }
         // Consume the peeked timestamp and re-key the stream on the
         // following one. peek-then-next ≡ next keeps this exact.
-        let consumed = st
-            .source
+        let source = &mut self.sources[s as usize];
+        let consumed = source
             .next_arrival()
             .expect("a queued arrival event implies a pending timestamp")
             .max(st.floor);
         st.floor = consumed;
         debug_assert_eq!(consumed, ta, "peeked and consumed timestamps agree");
-        if let Some(next) = st.source.peek() {
-            self.arrivals.push(next.max(st.floor), s);
+        match source.peek() {
+            Some(next) => self.arrivals.push(next.max(st.floor), s),
+            None => st.drained = true,
         }
         if let Some(start) = bypass {
             self.begin(s, frame, ta, start, ring);
@@ -836,15 +1003,24 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
     fn complete_round(&mut self, ring: &mut Ring<D>) {
         ring.len = 0;
         for job in ring.segments.iter_mut().flat_map(|s| s.drain(..)) {
-            let st = &mut self.streams[job.stream as usize];
+            let s = job.stream as usize;
             let summary = job.summary.expect("every job of a completed round ran");
-            st.cursor.absorb(job.arrival, job.start, &summary);
-            st.driver = Some(job.driver);
-            st.shadow.on_complete(st.cursor.now());
-            if let Some(&(_, arrival, _)) = st.queue.front() {
-                st.shadow.classify(arrival);
-                self.start_heap
-                    .push(st.cursor.start_for(self.chaining, arrival), job.stream);
+            let cursor = &mut self.cursors[s];
+            cursor.absorb(job.arrival, job.start, &summary);
+            self.drivers[s] = Some(job.driver);
+            let st = &mut self.hot[s];
+            st.in_flight = false;
+            st.clock = cursor.now();
+            match self.slab.front(st.queue).map(|next| next.time) {
+                Some(arrival) => {
+                    st.shadow.on_complete(&mut self.slab, st.clock);
+                    st.shadow.classify(&mut self.slab, arrival);
+                    self.start_heap
+                        .push(chained_start(self.chaining, st.clock, arrival), job.stream);
+                }
+                // The stream's last frame: nothing is left to classify.
+                None if st.drained => self.slab.release(&mut st.shadow.comps),
+                None => st.shadow.on_complete(&mut self.slab, st.clock),
             }
         }
         self.ledger.rounds += 1;
@@ -876,30 +1052,45 @@ impl<A: ArrivalSource, D: CycleDriver> Scheduler<A, D> {
     }
 
     /// The finished run: the summary and the drivers in submission order.
+    /// The per-stream summaries are collected from the cursor column and
+    /// the drivers from theirs, which lets the standard library reuse
+    /// both buffers in place instead of allocating at the peak.
     fn finish(self) -> (ElasticSummary, Vec<D>) {
         let Scheduler {
-            streams, ledger, ..
+            hot,
+            cursors,
+            drivers,
+            ledger,
+            ..
         } = self;
-        let mut summary = ElasticSummary {
-            per_stream: Vec::with_capacity(streams.len()),
-            run: RunSummary::default(),
-            stats: StreamStats::default(),
+        let mut run = RunSummary::default();
+        let mut stats = StreamStats::default();
+        let per_stream: Vec<StreamSummary> = cursors
+            .into_iter()
+            .zip(&hot)
+            .map(|(cursor, st)| {
+                let mut s = cursor.summary();
+                // Every frame took an index, and every admitted one ran.
+                // The cursor never saw scheduler queue depths; the shadow
+                // account supplies the admission-granular high-water mark.
+                s.stats.arrived = st.next_frame;
+                s.stats.dropped = st.next_frame - s.stats.processed;
+                s.stats.max_backlog = st.shadow.max_backlog;
+                run.merge(&s.run);
+                stats.merge(&s.stats);
+                s
+            })
+            .collect();
+        let drivers = drivers
+            .into_iter()
+            .map(|d| d.expect("every driver is home after the last round"))
+            .collect();
+        let summary = ElasticSummary {
+            per_stream,
+            run,
+            stats,
             ledger,
         };
-        let mut drivers = Vec::with_capacity(streams.len());
-        for st in streams {
-            let mut s = st.cursor.summary();
-            // The cursor never saw scheduler queue depths; the shadow
-            // account supplies the admission-granular high-water mark.
-            s.stats.max_backlog = st.shadow.max_backlog;
-            summary.run.merge(&s.run);
-            summary.stats.merge(&s.stats);
-            summary.per_stream.push(s);
-            drivers.push(
-                st.driver
-                    .expect("every driver is home after the last round"),
-            );
-        }
         (summary, drivers)
     }
 }
@@ -1089,7 +1280,7 @@ mod tests {
     use crate::engine::NullSink;
     use crate::manager::NumericManager;
     use crate::policy::MixedPolicy;
-    use crate::source::{Bursty, Jittered, PatternSource, Periodic};
+    use crate::source::{Bursty, Jittered, PatternSource, Periodic, TraceReplay};
     use crate::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
     use crate::system::{ParameterizedSystem, SystemBuilder};
     use proptest::prelude::*;
@@ -1181,45 +1372,60 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The radix queue pops exactly the sorted `(time, stream)` order
-        /// over random monotone push/pop/peek interleavings: equal times
-        /// across streams, repeated equal keys on one stream (bursts),
-        /// and times at both ends of the `Time` range. Each op is push
-        /// (0–1), pop (2) or peek (3); `gap` picks the pushed time's
-        /// distance above the floor.
+        /// over random monotone interleavings of five ops: push (0–1),
+        /// pop (2), peek (3), a burst (4: pop, then push the popped key
+        /// back at the current time, as a stream with several frames at
+        /// one timestamp does) and a crowd (5: up to 32 distinct streams
+        /// pushed at one timestamp in scrambled order, as periodic
+        /// streams sharing a period are). Times reach both ends of the
+        /// `Time` range; `gap` picks a pushed time's distance above the
+        /// floor. The storage count stays exact and bounded.
         #[test]
         fn radix_queue_pops_in_sorted_order(
             base in 0u8..4,
             ops in proptest::collection::vec(
-                (0u8..4, 0u8..5, 0u32..64, any::<u64>()),
+                (0u8..6, 0u8..5, 0u32..64, any::<u64>()),
                 0..400,
             ),
         ) {
             let base = [i64::MIN, -1_000, 0, i64::MAX - (1 << 20)][base as usize];
             let mut queue = RadixQueue::new();
             let mut model: Vec<(Time, u32)> = Vec::new();
+            let mut pushes = 0usize;
             // The least key a push may carry: the last popped or peeked.
             let mut floor = (Time::from_ns(base), 0u32);
             for (op, gap, s, r) in ops {
+                let t = floor.0.as_ns();
+                let time = match gap {
+                    0 => t,
+                    1 => t.saturating_add((r % 8) as i64),
+                    2 => t.saturating_add((r % (1 << 40)) as i64),
+                    3 => t.saturating_add((r >> 1) as i64),
+                    _ => i64::MAX,
+                };
+                // At the floor's time a push may not go below its stream.
+                let lowest = if time == t { floor.1 } else { 0 };
+                let mut keys = Vec::new();
                 match op {
                     0 | 1 => {
-                        let t = floor.0.as_ns();
-                        let time = match gap {
-                            0 => t,
-                            1 => t.saturating_add((r % 8) as i64),
-                            2 => t.saturating_add((r % (1 << 40)) as i64),
-                            3 => t.saturating_add((r >> 1) as i64),
-                            _ => i64::MAX,
-                        };
-                        let stream = if time == t {
-                            // Same time: at or above the floor's stream
-                            // (`s % 4 == 0` repeats the floor's key).
-                            floor.1.saturating_add(s % 4)
-                        } else {
-                            s
-                        };
-                        let key = (Time::from_ns(time), stream);
-                        queue.push(key.0, key.1);
-                        model.push(key);
+                        // At the floor's time, `s % 4 == 0` repeats the
+                        // floor's key.
+                        let stream = if time == t { lowest.saturating_add(s % 4) } else { s };
+                        keys.push((Time::from_ns(time), stream));
+                    }
+                    4 => {
+                        model.sort_unstable_by(|a, b| b.cmp(a));
+                        let want = model.pop();
+                        let got = queue.pop();
+                        prop_assert_eq!(got, want);
+                        if let Some(key) = got {
+                            floor = key;
+                            keys.push(key);
+                        }
+                    }
+                    5 => {
+                        let n = 1 + (r % 32) as u32;
+                        keys.extend((0..n).map(|j| (Time::from_ns(time), lowest + (j * 37 + s) % n)));
                     }
                     _ => {
                         model.sort_unstable_by(|a, b| b.cmp(a));
@@ -1236,12 +1442,21 @@ mod tests {
                         }
                     }
                 }
+                for key in keys {
+                    queue.push(key.0, key.1);
+                    model.push(key);
+                    pushes += 1;
+                }
                 prop_assert_eq!(queue.len, model.len());
+                prop_assert_eq!(
+                    queue.storage,
+                    queue.buckets.iter().map(Vec::capacity).sum::<usize>()
+                );
             }
             model.sort_unstable();
             let drained: Vec<(Time, u32)> = std::iter::from_fn(|| queue.pop()).collect();
             prop_assert_eq!(drained, model);
-            prop_assert!(queue.storage() <= 2 * 400 + RADIX_BUCKETS * RADIX_SPARE);
+            prop_assert!(queue.storage <= 2 * pushes + RADIX_BUCKETS * RADIX_SPARE);
         }
     }
 
@@ -1263,6 +1478,188 @@ mod tests {
         queue.push(Time::from_ns(10), 5);
         assert_eq!(queue.peek(), Some((Time::from_ns(10), 5)));
         queue.push(Time::from_ns(10), 4);
+    }
+
+    /// The slab never holds more nodes than were live at once, and with a
+    /// steady population it reuses freed nodes instead of growing.
+    #[test]
+    fn slab_holds_at_most_the_peak_live_entries() {
+        let mut slab = Slab::new();
+        let mut lists = [List::EMPTY; 5];
+        let mut model: Vec<Vec<Time>> = vec![Vec::new(); lists.len()];
+        let (mut live, mut peak) = (0usize, 0usize);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..4_000i64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let l = (x % 5) as usize;
+            // Grow for the first half, then hold the population steady.
+            let push = if step < 2_000 {
+                !x.is_multiple_of(3)
+            } else {
+                live < peak
+            };
+            if push {
+                slab.push_back(&mut lists[l], Node::completion(Time::from_ns(step)));
+                model[l].push(Time::from_ns(step));
+                live += 1;
+            } else if let Some(node) = slab.pop_front(&mut lists[l]) {
+                assert_eq!(node.time, model[l].remove(0));
+                live -= 1;
+            }
+            peak = peak.max(live);
+            assert!(slab.nodes.len() <= peak, "step {step}");
+            if step == 2_000 {
+                assert_eq!(slab.nodes.len(), peak);
+            }
+        }
+        let (len, capacity) = (slab.nodes.len(), slab.nodes.capacity());
+        // Release one list whole, then refill it: nothing grows.
+        let n = model[0].len();
+        slab.release(&mut lists[0]);
+        assert!(lists[0].is_empty());
+        for t in 0..n as i64 {
+            slab.push_back(&mut lists[0], Node::completion(Time::from_ns(t)));
+        }
+        assert_eq!((slab.nodes.len(), slab.nodes.capacity()), (len, capacity));
+        for (list, want) in lists.iter_mut().zip(&model).skip(1) {
+            let got: Vec<Time> =
+                std::iter::from_fn(|| slab.pop_front(list).map(|n| n.time)).collect();
+            assert_eq!(&got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random small fleets — 1–12 streams mixing periodic, jittered
+        /// and bursty sources with 1–6 frames each, at one of four loads —
+        /// under any ring, admission and chaining: the whole summary is
+        /// byte-identical at 1, 2 and 3 workers, and under unbounded
+        /// admission each stream equals its `StreamingRunner` + `Block`
+        /// run, `max_backlog` included. On the `coarse` grid (every
+        /// action 10 ns, no overhead, periods of 20–80 ns) completions
+        /// land exactly on arrivals: a tie the backlog account must count
+        /// as waiting, as the per-stream runner does.
+        #[test]
+        fn random_fleets_agree_across_workers_and_with_the_streaming_runner(
+            fleet in proptest::collection::vec(
+                (0u8..3, 1usize..=6, any::<u64>()),
+                1..=12,
+            ),
+            load in 1i64..=4,
+            ring in 1usize..=6,
+            capacity in 0usize..=4,
+            work_conserving in any::<bool>(),
+            coarse in any::<bool>(),
+        ) {
+            let s = sys();
+            let p = MixedPolicy::new(&s);
+            let period = if coarse {
+                Time::from_ns(20 * load)
+            } else {
+                Time::from_ns(PERIOD.as_ns() / load)
+            };
+            let source = |(kind, frames, seed): (u8, usize, u64)| match kind {
+                0 => PatternSource::Periodic(Periodic::new(period, frames)),
+                1 => PatternSource::Jittered(Jittered::new(
+                    period,
+                    Time::from_ns(40),
+                    frames,
+                    seed,
+                )),
+                _ => PatternSource::Bursty(Bursty::new(period, 4, frames, seed)),
+            };
+            let engine = || {
+                let overhead = if coarse {
+                    OverheadModel::ZERO
+                } else {
+                    OverheadModel::new(Time::from_ns(2), Time::from_ns(1))
+                };
+                Engine::new(&s, NumericManager::new(&s, &p), overhead)
+            };
+            let exec = |i: usize| {
+                let mut fine = exec_for(&s, i as u64);
+                FnExec(move |cycle, action, q| {
+                    if coarse {
+                        Time::from_ns(10)
+                    } else {
+                        fine.actual(cycle, action, q)
+                    }
+                })
+            };
+            let build = || -> Vec<_> {
+                fleet
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &spec)| (source(spec), EngineDriver::new(engine(), exec(i), NullSink)))
+                    .collect()
+            };
+            let chaining = if work_conserving {
+                CycleChaining::WorkConserving
+            } else {
+                CycleChaining::ArrivalClamped
+            };
+            let admission = match capacity {
+                0 => Admission::Unbounded,
+                global_capacity => Admission::DropNewest { global_capacity },
+            };
+            let config = ElasticConfig::live()
+                .with_chaining(chaining)
+                .with_ring_capacity(ring)
+                .with_admission(admission);
+            let (reference, _) = ElasticRunner::new(1, config).run(build());
+            let ledger = reference.ledger();
+            prop_assert_eq!(ledger.arrived, fleet.iter().map(|f| f.1).sum::<usize>());
+            prop_assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
+            for workers in [2, 3] {
+                let (out, _) = ElasticRunner::new(workers, config).run(build());
+                prop_assert_eq!(&out, &reference);
+            }
+            if admission == Admission::Unbounded {
+                let runner = StreamingRunner::new(StreamConfig {
+                    chaining,
+                    capacity: 2,
+                    policy: OverloadPolicy::Block,
+                });
+                for (i, &spec) in fleet.iter().enumerate() {
+                    let want =
+                        runner.run(&mut engine(), &mut source(spec), &mut exec(i), &mut NullSink);
+                    prop_assert_eq!(*reference.stream(i), want);
+                }
+            }
+        }
+    }
+
+    /// A completion that lands exactly on the next arrival leaves that
+    /// frame waiting, as the per-stream runner counts it. Every cycle
+    /// takes 40 ns and the ring holds 3 jobs, so stream 3's first frame
+    /// runs in the second round, beside stream 0's second frame starting
+    /// at 40 ns. That start lets stream 3's arrival at 40 ns be admitted
+    /// behind its first frame, whose completion at 40 ns then meets it at
+    /// the front of the queue.
+    #[test]
+    fn a_completion_on_the_next_arrival_counts_as_backlog() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let engine = || Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO);
+        let exec = || FnExec(|_, _, _| Time::from_ns(10));
+        let arrivals = |i: usize| {
+            let times: &[i64] = [&[0, 0][..], &[0], &[0], &[0, 40]][i];
+            TraceReplay::new(times.iter().map(|&t| Time::from_ns(t)).collect())
+        };
+        let streams = (0..4)
+            .map(|i| (arrivals(i), EngineDriver::new(engine(), exec(), NullSink)))
+            .collect();
+        let (out, _) =
+            ElasticRunner::new(1, ElasticConfig::live().with_ring_capacity(3)).run(streams);
+        assert_eq!(out.stream(3).stats.max_backlog, 1);
+        let runner = StreamingRunner::new(StreamConfig::live(2, OverloadPolicy::Block));
+        for (i, got) in out.per_stream().iter().enumerate() {
+            let want = runner.run(&mut engine(), &mut arrivals(i), &mut exec(), &mut NullSink);
+            assert_eq!(*got, want, "stream {i}");
+        }
     }
 
     /// A driver that panics on stream 3's cycle 1.
@@ -1442,18 +1839,88 @@ mod tests {
         };
         // Admission is round-granular, so the exact books pin the event
         // order, rings 1 and 2 at the ring-full boundary included:
-        // `(ring, admitted, shed, rounds)`.
-        for (ring, admitted, shed, rounds) in [(1, 91, 53, 91), (2, 91, 53, 57), (8, 90, 54, 37)] {
+        // `(chaining, ring, (admitted, shed, rounds), per-stream
+        // (arrived, dropped, processed, max_backlog))`. The per-stream
+        // books also pin what the aggregates cannot: which stream each
+        // shed frame came from, and each stream's backlog high-water mark.
+        let live = CycleChaining::ArrivalClamped;
+        let cases = [
+            (
+                live,
+                1,
+                (91, 53, 91),
+                [
+                    (24, 7, 17, 4),
+                    (24, 11, 13, 3),
+                    (24, 11, 13, 2),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 2),
+                ],
+            ),
+            (
+                live,
+                2,
+                (91, 53, 57),
+                [
+                    (24, 7, 17, 5),
+                    (24, 11, 13, 2),
+                    (24, 11, 13, 2),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 2),
+                ],
+            ),
+            (
+                live,
+                8,
+                (90, 54, 37),
+                [
+                    (24, 6, 18, 5),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 1),
+                ],
+            ),
+            (
+                CycleChaining::WorkConserving,
+                2,
+                (91, 53, 57),
+                [
+                    (24, 7, 17, 5),
+                    (24, 11, 13, 2),
+                    (24, 11, 13, 2),
+                    (24, 12, 12, 2),
+                    (24, 12, 12, 2),
+                ],
+            ),
+        ];
+        for (chaining, ring, books, per_stream) in cases {
             let config = ElasticConfig::live()
+                .with_chaining(chaining)
                 .with_admission(Admission::DropNewest { global_capacity: 4 })
                 .with_ring_capacity(ring);
             let (out, _) = ElasticRunner::new(1, config).run(build());
             let ledger = *out.ledger();
             assert_eq!(
                 (ledger.admitted, ledger.shed, ledger.rounds),
-                (admitted, shed, rounds),
-                "ring {ring}"
+                books,
+                "{chaining:?} ring {ring}"
             );
+            let got: Vec<_> = out
+                .per_stream()
+                .iter()
+                .map(|x| {
+                    (
+                        x.stats.arrived,
+                        x.stats.dropped,
+                        x.stats.processed,
+                        x.stats.max_backlog,
+                    )
+                })
+                .collect();
+            let mut want = per_stream.to_vec();
+            want.push((frames, 0, frames, 0));
+            assert_eq!(got, want, "{chaining:?} ring {ring}");
             assert_eq!(ledger.arrived, 6 * frames);
             assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
             assert!(ledger.peak_backlog <= 4, "capacity bound: {ledger:?}");

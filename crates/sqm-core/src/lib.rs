@@ -59,14 +59,16 @@
 //!    variants.
 //! 10. **Elastic fleet** — [`elastic`]: per-cycle scheduling of very many
 //!     *live* streams onto few workers. A serial deterministic event loop
-//!     over a monotone radix arrival queue and a start-event heap
-//!     ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
+//!     over a time-keyed monotone radix arrival queue and a start-event
+//!     heap ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
 //!     ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
 //!     fixed-capacity ready ring whose jobs carry their streams' drivers
 //!     by value; each worker runs an owned segment of the ring, with no
-//!     lock per stream. Results are byte-identical for every worker
-//!     count, and per-stream identical to [`stream`]'s runner under
-//!     unbounded admission.
+//!     lock per stream. The loop reads one 64-byte hot record per stream,
+//!     keeps sources, cursors and drivers in cold columns, and threads
+//!     every per-stream queue through one free-listed node slab. Results
+//!     are byte-identical for every worker count, and per-stream
+//!     identical to [`stream`]'s runner under unbounded admission.
 //!
 //! The engine seam — how 6–8 fit together: a
 //! [`manager::QualityManager`] makes the decisions, an

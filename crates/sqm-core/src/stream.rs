@@ -250,10 +250,7 @@ impl StreamCursor {
     /// ([`CycleChaining::ArrivalClamped`]), `now` under work-conserving
     /// prefetch (the frame may start before it arrives).
     pub fn start_for(&self, chaining: CycleChaining, arrival: Time) -> Time {
-        match chaining {
-            CycleChaining::ArrivalClamped => self.now.max(arrival),
-            CycleChaining::WorkConserving => self.now,
-        }
+        chained_start(chaining, self.now, arrival)
     }
 
     /// Record one frame delivered by the source.
@@ -298,6 +295,15 @@ impl StreamCursor {
     /// The accumulated [`StreamSummary`] so far.
     pub fn summary(&self) -> StreamSummary {
         self.summary
+    }
+}
+
+/// The start recurrence behind [`StreamCursor::start_for`], for a
+/// scheduler that keeps the stream clock `now` apart from the cursor.
+pub(crate) fn chained_start(chaining: CycleChaining, now: Time, arrival: Time) -> Time {
+    match chaining {
+        CycleChaining::ArrivalClamped => now.max(arrival),
+        CycleChaining::WorkConserving => now,
     }
 }
 

@@ -18,11 +18,13 @@
 //!   many independent engine streams distributed over scoped OS threads,
 //!   merged deterministically into per-stream and aggregate summaries.
 //! * [`elastic`] (also `core::elastic`) — per-cycle elastic scheduling of
-//!   very many *live* streams onto few workers: a monotone radix arrival
-//!   queue, a fixed-capacity ready ring whose jobs carry drivers by
-//!   value to per-worker segments, and fleet-wide admission control
-//!   via a shared shed ledger. Byte-identical results for every worker
-//!   count.
+//!   very many *live* streams onto few workers: a time-keyed monotone
+//!   radix arrival queue, one 64-byte hot record per stream beside
+//!   cold source / cursor / driver columns, one node slab for every
+//!   per-stream queue, a fixed-capacity ready ring whose jobs carry
+//!   drivers by value to per-worker segments, and fleet-wide admission
+//!   control via a shared shed ledger. Byte-identical results for every
+//!   worker count.
 //! * [`source`] + [`stream`] (also `core::source` / `core::stream`) — the
 //!   event-driven front-end: arrival sources (periodic, jittered, bursty,
 //!   recorded-trace replay) feeding the engine through a bounded backlog
